@@ -1,14 +1,15 @@
-// Parallel query-engine scaling bench: the perf acceptance criteria for the
-// sharded src/query core (docs/PERF.md). Emits BENCH_query_scale.json with
-// the numbers tools/ci_bench.sh gates on:
-//   - state-duration rollup wall time at 1 and 8 workers and the speedup
-//     (the >= 3x claim at the million-event size, gated only on machines
-//     with >= 8 hardware threads),
-//   - windowed LegendSweep wall time through a Navigator at 1 and 8 workers
-//     and the speedup,
-//   - tracecheck end-to-end wall time at 1 and 8 workers,
-//   - a byte-identity canary: every parallel result must equal its serial
-//     twin exactly, or the bench exits nonzero,
+// Query-engine scaling bench: the perf acceptance criteria for the sharded
+// src/query core (docs/PERF.md). The parallel side runs at one worker per
+// hardware thread ("hw"), the serial side at one worker. Emits
+// BENCH_query_scale.json with the numbers tools/ci_bench.sh gates on:
+//   - state-duration rollup wall time at 1 and hw workers and the speedup
+//     (the CI floor applies at the million-event size on machines with
+//     >= 4 hardware threads),
+//   - windowed LegendSweep wall time through a Navigator at 1 and hw
+//     workers and the speedup,
+//   - tracecheck end-to-end wall time at 1 and hw workers,
+//   - a byte-identity canary: every hw-worker result must equal its
+//     1-worker twin exactly, or the bench exits nonzero,
 //   - a shared-cache canary: re-sweeping the same window must be served
 //     from the process-wide FrameCache (zero new misses), or the bench
 //     exits nonzero.
@@ -18,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analyze/tracecheck.hpp"
@@ -31,6 +31,7 @@
 #include "slog2/frame_cache.hpp"
 #include "slog2/slog2.hpp"
 #include "tracegen/tracegen.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -84,13 +85,13 @@ bool totals_equal(const std::map<std::int32_t, query::LegendTotals>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::heading("parallel query-engine scaling",
-                 "sharded rollups/sweeps vs serial (docs/PERF.md)");
+  bench::heading("query-engine scaling",
+                 "sharded rollups/sweeps at 1 vs hw workers (docs/PERF.md)");
   bench::JsonReport report("query_scale");
 
-  const unsigned hw = std::thread::hardware_concurrency();
+  const int hw = util::resolve_threads(0);
   report.set("hardware_threads", static_cast<unsigned long long>(hw));
-  std::printf("hardware threads: %u\n", hw);
+  std::printf("hardware threads: %d\n", hw);
 
   const std::vector<std::pair<std::string, std::uint64_t>> sizes = {
       {"small", static_cast<std::uint64_t>(
@@ -112,19 +113,19 @@ int main(int argc, char** argv) {
 
     // --- rollup leg: Trace build + state_durations ------------------------
     const query::Trace trace(ref);
-    query::StateDurations sd1, sd8;
+    query::StateDurations sd1, sdn;
     const double rollup_t1 =
         best_ms([&] { sd1 = query::state_durations(trace, 1); });
-    const double rollup_t8 =
-        best_ms([&] { sd8 = query::state_durations(trace, 8); });
-    if (!durations_equal(sd1, sd8)) {
+    const double rollup_tn =
+        best_ms([&] { sdn = query::state_durations(trace, hw); });
+    if (!durations_equal(sd1, sdn)) {
       std::fprintf(stderr, "FAIL: parallel state_durations diverged at %s\n",
                    label.c_str());
       all_identical = false;
     }
-    const query::Trace trace8(ref, 8);
-    if (trace8.steps().size() != trace.steps().size() ||
-        trace8.by_rank() != trace.by_rank()) {
+    const query::Trace trace_n(ref, hw);
+    if (trace_n.steps().size() != trace.steps().size() ||
+        trace_n.by_rank() != trace.by_rank()) {
       std::fprintf(stderr, "FAIL: parallel Trace build diverged at %s\n",
                    label.c_str());
       all_identical = false;
@@ -137,16 +138,16 @@ int main(int argc, char** argv) {
         slog2::serialize(slog2::convert(ref, co));
     slog2::Navigator nav(bytes);
     const double a = nav.t_min(), b = nav.t_max();
-    std::map<std::int32_t, query::LegendTotals> lt1, lt8;
+    std::map<std::int32_t, query::LegendTotals> lt1, ltn;
     const double sweep_t1 = best_ms([&] {
       query::LegendSweep s = query::legend_window(nav, a, b, 1);
       lt1 = s.totals(1);
     });
-    const double sweep_t8 = best_ms([&] {
-      query::LegendSweep s = query::legend_window(nav, a, b, 8);
-      lt8 = s.totals(8);
+    const double sweep_tn = best_ms([&] {
+      query::LegendSweep s = query::legend_window(nav, a, b, hw);
+      ltn = s.totals(hw);
     });
-    if (!totals_equal(lt1, lt8)) {
+    if (!totals_equal(lt1, ltn)) {
       std::fprintf(stderr, "FAIL: parallel legend sweep diverged at %s\n",
                    label.c_str());
       all_identical = false;
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
     // Shared-cache canary: every frame is warm after the sweeps above, so
     // one more pass must add hits and zero misses.
     const auto before = slog2::FrameCache::global().stats();
-    (void)query::legend_window(nav, a, b, 8);
+    (void)query::legend_window(nav, a, b, hw);
     const auto after = slog2::FrameCache::global().stats();
     if (after.misses != before.misses || after.hits <= before.hits) {
       std::fprintf(stderr,
@@ -169,46 +170,46 @@ int main(int argc, char** argv) {
     }
 
     // --- tracecheck leg: the whole checker end to end ---------------------
-    analyze::TraceCheckOptions c1, c8;
+    analyze::TraceCheckOptions c1, cn;
     c1.threads = 1;
-    c8.threads = 8;
-    std::size_t findings1 = 0, findings8 = 0;
+    cn.threads = hw;
+    std::size_t findings1 = 0, findings_n = 0;
     const double check_t1 =
         best_ms([&] { findings1 = analyze::check_trace(ref, c1).finding_count(); });
-    const double check_t8 =
-        best_ms([&] { findings8 = analyze::check_trace(ref, c8).finding_count(); });
-    if (findings1 != findings8) {
+    const double check_tn =
+        best_ms([&] { findings_n = analyze::check_trace(ref, cn).finding_count(); });
+    if (findings1 != findings_n) {
       std::fprintf(stderr, "FAIL: tracecheck verdict changed with threads at %s\n",
                    label.c_str());
       all_identical = false;
     }
 
-    const double rollup_speedup = rollup_t8 > 0.0 ? rollup_t1 / rollup_t8 : 0.0;
-    const double sweep_speedup = sweep_t8 > 0.0 ? sweep_t1 / sweep_t8 : 0.0;
-    const double check_speedup = check_t8 > 0.0 ? check_t1 / check_t8 : 0.0;
+    const double rollup_speedup = rollup_tn > 0.0 ? rollup_t1 / rollup_tn : 0.0;
+    const double sweep_speedup = sweep_tn > 0.0 ? sweep_t1 / sweep_tn : 0.0;
+    const double check_speedup = check_tn > 0.0 ? check_t1 / check_tn : 0.0;
     const double evs = static_cast<double>(trace.steps().size());
 
     std::printf("%-5s (%llu events):\n", label.c_str(),
                 static_cast<unsigned long long>(events));
-    std::printf("  rollup      t1 %8.2f ms  t8 %8.2f ms  speedup %.2fx\n",
-                rollup_t1, rollup_t8, rollup_speedup);
-    std::printf("  sweep       t1 %8.2f ms  t8 %8.2f ms  speedup %.2fx\n",
-                sweep_t1, sweep_t8, sweep_speedup);
-    std::printf("  tracecheck  t1 %8.2f ms  t8 %8.2f ms  speedup %.2fx\n",
-                check_t1, check_t8, check_speedup);
+    std::printf("  rollup      t1 %8.2f ms  t%d %8.2f ms  speedup %.2fx\n",
+                rollup_t1, hw, rollup_tn, rollup_speedup);
+    std::printf("  sweep       t1 %8.2f ms  t%d %8.2f ms  speedup %.2fx\n",
+                sweep_t1, hw, sweep_tn, sweep_speedup);
+    std::printf("  tracecheck  t1 %8.2f ms  t%d %8.2f ms  speedup %.2fx\n",
+                check_t1, hw, check_tn, check_speedup);
 
     report.set("events_" + label, events);
     report.set("rollup_ms_t1_" + label, rollup_t1);
-    report.set("rollup_ms_t8_" + label, rollup_t8);
-    report.set("rollup_speedup_t8_" + label, rollup_speedup);
+    report.set("rollup_ms_thw_" + label, rollup_tn);
+    report.set("rollup_speedup_thw_" + label, rollup_speedup);
     report.set("rollup_events_per_sec_t1_" + label,
                evs / (rollup_t1 / 1000.0));
     report.set("sweep_ms_t1_" + label, sweep_t1);
-    report.set("sweep_ms_t8_" + label, sweep_t8);
-    report.set("sweep_speedup_t8_" + label, sweep_speedup);
+    report.set("sweep_ms_thw_" + label, sweep_tn);
+    report.set("sweep_speedup_thw_" + label, sweep_speedup);
     report.set("check_ms_t1_" + label, check_t1);
-    report.set("check_ms_t8_" + label, check_t8);
-    report.set("check_speedup_t8_" + label, check_speedup);
+    report.set("check_ms_thw_" + label, check_tn);
+    report.set("check_speedup_thw_" + label, check_speedup);
   }
 
   const auto st = slog2::FrameCache::global().stats();

@@ -69,7 +69,7 @@ Report check_trace(const clog2::File& file, const TraceCheckOptions& opts) {
   }
 
   // --- pass 2: vector clocks over the matched order ------------------------
-  if (query::stamp_clocks(graph, opts.threads))
+  if (query::stamp_clocks(graph))
     rep.add("TC104", Severity::kError,
             "matched messages form a causal cycle; vector clocks are "
             "approximate from here on");

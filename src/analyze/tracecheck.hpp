@@ -40,7 +40,7 @@ struct TraceCheckOptions {
   /// TC202 fires only with at least this many serialized fan-in rounds
   /// (and only when they are at least half of all multi-partner rounds).
   int min_serialized_rounds = 2;
-  /// Worker threads for the trace build and the vector-clock replay
+  /// Worker threads for the trace build
   /// (0 = one per hardware thread). The verdict is byte-identical at any
   /// value — parallelism never changes the report.
   int threads = 1;

@@ -513,7 +513,7 @@ TraceDiffResult diff_traces(const clog2::File& reference,
                             top.detail.c_str());
       // Corroborate with the causal order: was this rank's divergence point
       // happens-before-minimal among all diverged ranks?
-      query::stamp_clocks(ref_graph, opts.threads);
+      query::stamp_clocks(ref_graph);
       const query::Clock mine =
           stamp_before(ref_graph, top.rank, top.ref_time);
       bool minimal = true;

@@ -35,7 +35,7 @@ struct TraceDiffOptions {
   double duration_ratio = 1.5;
   /// How many ranked suspects to report (TD301 + TD302).
   int top_suspects = 3;
-  /// Worker threads for the trace builds, rollups, and clock replay
+  /// Worker threads for the trace builds and rollups
   /// (0 = one per hardware thread). The verdict is byte-identical at any
   /// value — parallelism never changes the report.
   int threads = 1;

@@ -1,36 +1,10 @@
 #include "query/clocks.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <variant>
 
-#include "util/parallel.hpp"
-
 namespace query {
-
-namespace {
-
-/// Parallel stamping pays off only with real replay work and enough ranks
-/// to shard.
-constexpr std::size_t kParallelClockOps = 10000;
-constexpr int kMinParallelRanks = 4;
-/// Consecutive no-progress sweeps (with the global counter frozen) before a
-/// worker declares the frontier cyclic and aborts to the serial path.
-constexpr int kStallSweeps = 10000;
-
-void reset_stamps(MsgGraph& graph) {
-  for (MatchedMsg& m : graph.msgs) {
-    m.stamped = false;
-    m.send_stamp.clear();
-    m.recv_stamp.clear();
-  }
-}
-
-}  // namespace
 
 bool clock_leq(const Clock& a, const Clock& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -153,110 +127,6 @@ bool stamp_clocks(MsgGraph& graph) {
     }
   }
   return causal_cycle;
-}
-
-bool stamp_clocks(MsgGraph& graph, int threads) {
-  const int requested = util::resolve_threads(threads);
-  std::size_t total = 0;
-  for (const auto& v : graph.ops) total += v.size();
-  if (requested <= 1 || graph.nranks < kMinParallelRanks ||
-      total < kParallelClockOps)
-    return stamp_clocks(graph);
-
-  const auto nranks = static_cast<std::size_t>(graph.nranks);
-  const std::size_t nworkers =
-      std::min(static_cast<std::size_t>(requested), nranks);
-
-  // Workers own static contiguous rank blocks, so vc[r] is touched by
-  // exactly one thread; cross-block edges synchronize through a per-message
-  // publish flag (release on send, acquire before the receive's join). A
-  // receive whose send is unpublished parks its rank and the worker sweeps
-  // on — for an acyclic matched graph some rank frontier is always enabled,
-  // so the replay completes and reproduces the serial stamps exactly.
-  std::vector<Clock> vc(nranks, Clock(nranks, 0));
-  std::vector<std::atomic<std::uint8_t>> published(graph.msgs.size());
-  for (auto& f : published) f.store(0, std::memory_order_relaxed);
-  std::atomic<std::size_t> completed{0};
-  std::atomic<bool> aborted{false};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-
-  const auto work = [&](std::size_t w) {
-    const std::size_t lo = w * nranks / nworkers;
-    const std::size_t hi = (w + 1) * nranks / nworkers;
-    std::vector<std::size_t> idx(hi - lo, 0);
-    std::size_t mine = 0;
-    for (std::size_t r = lo; r < hi; ++r) mine += graph.ops[r].size();
-    std::size_t done = 0;
-    int stalled_sweeps = 0;
-    std::size_t stall_mark = 0;
-    while (done < mine) {
-      if (aborted.load(std::memory_order_relaxed)) return;
-      std::size_t sweep_done = 0;
-      for (std::size_t r = lo; r < hi; ++r) {
-        std::size_t& i = idx[r - lo];
-        while (i < graph.ops[r].size()) {
-          const MsgOp& op = graph.ops[r][i];
-          MatchedMsg& m = graph.msgs[op.msg];
-          if (op.kind == MsgOp::Kind::kSend) {
-            ++vc[r][r];
-            m.send_stamp = vc[r];
-            m.stamped = true;
-            published[op.msg].store(1, std::memory_order_release);
-          } else {
-            if (published[op.msg].load(std::memory_order_acquire) == 0) break;
-            ++vc[r][r];
-            for (std::size_t k = 0; k < nranks; ++k)
-              vc[r][k] = std::max(vc[r][k], m.send_stamp[k]);
-            m.recv_stamp = vc[r];
-          }
-          ++i;
-          ++sweep_done;
-        }
-      }
-      done += sweep_done;
-      if (sweep_done > 0) {
-        completed.fetch_add(sweep_done, std::memory_order_relaxed);
-        stalled_sweeps = 0;
-        continue;
-      }
-      // No local progress: watch the global counter. If nobody moves for a
-      // long stretch the frontier receives form a cycle (or the scheduler
-      // starved a peer); either way, bail out to the serial path.
-      const std::size_t now = completed.load(std::memory_order_relaxed);
-      if (stalled_sweeps == 0 || now != stall_mark) {
-        stall_mark = now;
-        stalled_sweeps = 1;
-      } else if (++stalled_sweeps > kStallSweeps) {
-        aborted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      std::this_thread::yield();
-    }
-  };
-  const auto guarded = [&](std::size_t w) {
-    try {
-      work(w);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      aborted.store(true, std::memory_order_relaxed);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(nworkers - 1);
-  for (std::size_t w = 1; w < nworkers; ++w) pool.emplace_back(guarded, w);
-  guarded(0);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-  if (!aborted.load(std::memory_order_relaxed)) return false;
-
-  // Cycle (or stall): wipe the partial stamps and let the serial replay —
-  // which owns the forced-stamp semantics — redo the pass from scratch.
-  reset_stamps(graph);
-  return stamp_clocks(graph);
 }
 
 }  // namespace query

@@ -74,14 +74,10 @@ MsgGraph match_messages(const clog2::File& file, int nranks_floor = 0);
 /// (stamps are approximate from the first forced receive on).
 bool stamp_clocks(MsgGraph& graph);
 
-/// Same stamping with the per-rank replay sharded across `threads` workers
-/// (0 = hardware): workers own static contiguous rank blocks, and a receive
-/// spins (bounded) on its send's publish flag. Each op's stamp is a pure
-/// function of the matched DAG, so a completed parallel replay matches the
-/// serial stamps bit for bit. If the replay cannot complete — a causal
-/// cycle, whose forced-stamp semantics are schedule-dependent — the partial
-/// stamps are wiped and the serial algorithm reruns from scratch, returning
-/// its exact result.
-bool stamp_clocks(MsgGraph& graph, int threads);
+/// Runs the serial stamp_clocks(graph) above; `threads` is ignored. Kept
+/// only for the perfbench postmortem workload, which passes a thread count.
+inline bool stamp_clocks(MsgGraph& graph, int /*threads*/) {
+  return stamp_clocks(graph);
+}
 
 }  // namespace query

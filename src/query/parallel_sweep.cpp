@@ -1,37 +1,15 @@
 #include "query/parallel_sweep.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <vector>
-
-#include "util/parallel.hpp"
-
 namespace query {
 
 LegendSweep legend_window(slog2::Navigator& nav, double a, double b,
                           int threads) {
-  const int nworkers = util::resolve_threads(threads);
-  const std::vector<std::uint32_t> frames = nav.window_frames(a, b);
-  // One shard per frame; the window filters below mirror visit_window's
-  // exactly (states clipped by overlap, events by containment, arrows by
-  // their time-ordered span).
-  std::vector<LegendSweep> shard(frames.size());
-  util::parallel_for(frames.size(), nworkers, [&](std::size_t k) {
-    const std::shared_ptr<const slog2::Frame> fp = nav.frame_ptr(frames[k]);
-    LegendSweep& sweep = shard[k];
-    for (const auto& s : fp->states)
-      if (s.end_time >= a && s.start_time <= b) sweep.add_state(s);
-    for (const auto& ev : fp->events)
-      if (ev.time >= a && ev.time <= b) sweep.add_event(ev);
-    for (const auto& ar : fp->arrows) {
-      const double lo = std::min(ar.start_time, ar.end_time);
-      const double hi = std::max(ar.start_time, ar.end_time);
-      if (hi >= a && lo <= b) sweep.add_arrow(ar);
-    }
-  });
-  LegendSweep out;
-  for (LegendSweep& s : shard) out.absorb(std::move(s));
-  return out;
+  LegendSweep sweep;
+  nav.visit_window(
+      a, b, [&](const slog2::StateDrawable& s) { sweep.add_state(s); },
+      [&](const slog2::EventDrawable& e) { sweep.add_event(e); },
+      [&](const slog2::ArrowDrawable& ar) { sweep.add_arrow(ar); }, threads);
+  return sweep;
 }
 
 WindowOccupancy occupancy_window(slog2::Navigator& nav, std::int32_t nranks,

@@ -1,15 +1,10 @@
-// Window-scoped SLOG-2 sweeps over a Navigator, sharded per frame.
+// Window-scoped SLOG-2 sweeps over a Navigator.
 //
-// legend_window builds one LegendSweep shard per directory frame the window
-// touches — decode (through the shared frame cache), window filtering, and
-// buffering all run in parallel — then absorbs the shards in traversal
-// order, the same drawable feed order Navigator::visit_window produces. The
-// result is therefore byte-identical to a serial visit_window + LegendSweep
-// at any thread count.
-//
-// occupancy_window accumulates into per-rank slots as drawables arrive, an
-// order-sensitive double fold, so it rides visit_window's parallel frame
-// decode and keeps the fold itself serial.
+// Both ride Navigator::visit_window, which decodes the touched frames in
+// parallel (through the shared frame cache) and then feeds their drawables
+// serially in traversal order — the same feed a plain visit produces, so
+// the results are byte-identical at any thread count. legend_window's
+// per-rank nesting sweep is sharded later, in LegendSweep::totals.
 #pragma once
 
 #include <cstdint>

@@ -9,11 +9,12 @@ namespace query {
 
 namespace {
 
-// Below this many steps/messages the thread-spawn cost outweighs the sweep.
+// Below this many steps/messages the thread-spawn cost outweighs the sweep,
+// so the shards run inline on the caller.
 constexpr std::size_t kParallelGrain = std::size_t{64} * 1024;
 
-/// One step of the state-duration sweep — shared verbatim by the serial
-/// path, the per-rank shards, and the out-of-range leftover pass.
+/// One step of the state-duration sweep — shared by the per-rank shards and
+/// the out-of-range leftover pass.
 void sweep_state_step(
     const Trace& trace, const Step& s,
     std::map<std::pair<int, std::int32_t>, std::vector<double>>& open,
@@ -60,20 +61,10 @@ double StateDurations::rank_total(int rank) const {
   return t;
 }
 
-StateDurations state_durations(const Trace& trace) {
-  StateDurations out;
-  // Start-time stacks per (rank, state id) — the checker's sweep.
-  std::map<std::pair<int, std::int32_t>, std::vector<double>> open;
-  for (const Step& s : trace.steps()) sweep_state_step(trace, s, open, out);
-  return out;
-}
-
 StateDurations state_durations(const Trace& trace, int threads) {
-  const int nworkers = util::resolve_threads(threads);
-  if (nworkers <= 1 || trace.steps().size() < kParallelGrain ||
-      trace.nranks() <= 1)
-    return state_durations(trace);
-
+  const int nworkers = trace.steps().size() < kParallelGrain
+                           ? 1
+                           : util::resolve_threads(threads);
   const auto& by_rank = trace.by_rank();
   std::vector<StateDurations> shard(by_rank.size());
   util::parallel_for(by_rank.size(), nworkers, [&](std::size_t r) {
@@ -84,7 +75,7 @@ StateDurations state_durations(const Trace& trace, int threads) {
 
   StateDurations out;
   // Steps whose rank sits outside [0, nranks) are absent from by_rank();
-  // sweep them serially so the merged result is exactly the serial one.
+  // sweep them on the side — their keys are disjoint from every shard's.
   std::size_t covered = 0;
   for (const auto& v : by_rank) covered += v.size();
   if (covered != trace.steps().size()) {
@@ -98,29 +89,15 @@ StateDurations state_durations(const Trace& trace, int threads) {
   return out;
 }
 
-MessageEdges message_edges(const MsgGraph& graph) {
-  MessageEdges out;
-  for (const MatchedMsg& m : graph.msgs) {
-    EdgeStats& e = out.edges[{m.sender, m.receiver, m.tag}];
-    ++e.sent;
-    e.bytes += m.size;
-    if (m.matched) {
-      ++e.matched;
-      e.total_latency += m.recv_time - m.send_time;
-    }
-  }
-  return out;
-}
-
 MessageEdges message_edges(const MsgGraph& graph, int threads) {
-  const int nworkers = util::resolve_threads(threads);
-  if (nworkers <= 1 || graph.msgs.size() < kParallelGrain)
-    return message_edges(graph);
+  const int nworkers = graph.msgs.size() < kParallelGrain
+                           ? 1
+                           : util::resolve_threads(threads);
 
-  // Bucket message indices by sender (serial, preserving graph order within
-  // each bucket), fold the buckets in parallel, and merge in ascending
-  // sender order — every (sender, receiver, tag) key lives in exactly one
-  // bucket, so this is the serial fold re-ordered only across disjoint keys.
+  // Bucket message indices by sender (preserving graph order within each
+  // bucket), fold the buckets in parallel, and merge in ascending sender
+  // order — every (sender, receiver, tag) key lives in exactly one bucket,
+  // so this is a graph-order fold re-ordered only across disjoint keys.
   std::map<int, std::vector<std::size_t>> by_sender;
   for (std::size_t i = 0; i < graph.msgs.size(); ++i)
     by_sender[graph.msgs[i].sender].push_back(i);

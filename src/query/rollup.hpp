@@ -40,14 +40,12 @@ struct StateDurations {
   [[nodiscard]] double rank_total(int rank) const;
 };
 
-StateDurations state_durations(const Trace& trace);
-
-/// Same rollup, sharded per rank across `threads` workers (0 = hardware).
-/// Keys are (rank, state), so shards own disjoint key sets and within one
-/// rank the sweep replays the exact serial step order — the merged result
-/// is byte-identical to the serial rollup at any worker count. Steps whose
-/// rank falls outside [0, nranks) are swept serially on the side.
-StateDurations state_durations(const Trace& trace, int threads);
+/// The rollup of `trace`, sharded per rank across `threads` workers (0 =
+/// hardware). Keys are (rank, state), so shards own disjoint key sets, and
+/// within one rank the sweep replays the rank's steps in stream order — the
+/// result is byte-identical at any worker count. Steps whose rank falls
+/// outside [0, nranks) are swept on the side, in stream order.
+StateDurations state_durations(const Trace& trace, int threads = 1);
 
 struct EdgeStats {
   std::uint64_t sent = 0;
@@ -65,13 +63,11 @@ struct MessageEdges {
   std::map<TagKey, EdgeStats> edges;
 };
 
-MessageEdges message_edges(const MsgGraph& graph);
-
-/// Same rollup, sharded per sender across `threads` workers (0 = hardware).
-/// TagKey sorts sender-first, so shards own disjoint key ranges; within a
-/// sender the messages fold in graph order, making the merged result
-/// byte-identical to the serial rollup at any worker count.
-MessageEdges message_edges(const MsgGraph& graph, int threads);
+/// The rollup of `graph`, sharded per sender across `threads` workers (0 =
+/// hardware). TagKey sorts sender-first, so shards own disjoint key ranges;
+/// within a sender the messages fold in graph order, making the result
+/// byte-identical at any worker count.
+MessageEdges message_edges(const MsgGraph& graph, int threads = 1);
 
 // --- interval algebra --------------------------------------------------------
 

@@ -42,10 +42,6 @@ void LegendSweep::add_arrow(const slog2::ArrowDrawable&) {
   ++event_counts_[slog2::kArrowCategoryId];
 }
 
-std::map<std::int32_t, LegendTotals> LegendSweep::totals() const {
-  return totals(1);
-}
-
 std::map<std::int32_t, LegendTotals> LegendSweep::totals(int threads) const {
   std::map<std::int32_t, LegendTotals> out;
   for (const auto& [id, n] : event_counts_) out[id].count += n;
@@ -102,19 +98,6 @@ std::map<std::int32_t, LegendTotals> LegendSweep::totals(int threads) const {
     t.exclusive = it != exclusive.end() ? it->second : 0.0;
   }
   return out;
-}
-
-void LegendSweep::absorb(LegendSweep&& other) {
-  for (auto& [rank, v] : other.per_rank_) {
-    auto& dst = per_rank_[rank];
-    if (dst.empty())
-      dst = std::move(v);
-    else
-      dst.insert(dst.end(), v.begin(), v.end());
-  }
-  for (const auto& [id, n] : other.event_counts_) event_counts_[id] += n;
-  other.per_rank_.clear();
-  other.event_counts_.clear();
 }
 
 WindowOccupancy::WindowOccupancy(std::int32_t nranks, double a, double b)

@@ -34,21 +34,13 @@ class LegendSweep {
   void add_event(const slog2::EventDrawable& e);
   void add_arrow(const slog2::ArrowDrawable& a);
 
-  /// Totals per category id; call once after the last add_*.
-  [[nodiscard]] std::map<std::int32_t, LegendTotals> totals() const;
-
-  /// Same totals with the per-rank sort + nesting sweeps sharded across
-  /// `threads` workers (0 = hardware). Each shard emits its rank's
-  /// contribution list instead of touching shared accumulators; the lists
-  /// replay serially in rank order, so the floating-point accumulation
-  /// order — and every downstream byte — matches the serial path at any
-  /// worker count.
-  [[nodiscard]] std::map<std::int32_t, LegendTotals> totals(int threads) const;
-
-  /// Steal `other`'s buffered drawables onto the back of this sweep's
-  /// buffers. Absorbing per-frame sweeps in frame order is equivalent to
-  /// feeding those frames' drawables into one sweep directly.
-  void absorb(LegendSweep&& other);
+  /// Totals per category id; call once after the last add_*. The per-rank
+  /// sort + nesting sweeps are sharded across `threads` workers (0 =
+  /// hardware). Each shard emits its rank's contribution list instead of
+  /// touching shared accumulators; the lists replay serially in rank order,
+  /// so the floating-point accumulation order — and every downstream byte —
+  /// is the same at any worker count.
+  [[nodiscard]] std::map<std::int32_t, LegendTotals> totals(int threads = 1) const;
 
  private:
   std::map<std::int32_t, std::vector<slog2::StateDrawable>> per_rank_;

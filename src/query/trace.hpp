@@ -51,15 +51,13 @@ struct StateEvent {
 
 class Trace {
  public:
-  /// Indexes `file`; the file must outlive the Trace.
-  explicit Trace(const clog2::File& file);
-
-  /// Same index, built with the record flatten, the per-rank index fill, and
-  /// the rank scan sharded across `threads` workers (0 = one per hardware
-  /// thread). Shards are fixed-size record chunks — boundaries depend on the
-  /// data, never on the worker count — and commit into preallocated slots,
-  /// so the resulting Trace is identical to the serial build bit for bit.
-  Trace(const clog2::File& file, int threads);
+  /// Indexes `file`; the file must outlive the Trace. The record flatten,
+  /// the per-rank index fill, and the rank scan are sharded across
+  /// `threads` workers (0 = one per hardware thread). Shards are fixed-size
+  /// record chunks — boundaries depend on the data, never on the worker
+  /// count — and commit into preallocated slots, so the Trace is identical
+  /// bit for bit at any thread count.
+  explicit Trace(const clog2::File& file, int threads = 1);
 
   [[nodiscard]] const clog2::File& file() const { return *file_; }
   /// Rank count actually observed (max of the header and the records).

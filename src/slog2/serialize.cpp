@@ -550,13 +550,6 @@ std::vector<std::uint32_t> Navigator::window_frames(double a, double b) const {
 void Navigator::visit_window(
     double a, double b, const std::function<void(const StateDrawable&)>& on_state,
     const std::function<void(const EventDrawable&)>& on_event,
-    const std::function<void(const ArrowDrawable&)>& on_arrow) {
-  visit_window(a, b, on_state, on_event, on_arrow, 1);
-}
-
-void Navigator::visit_window(
-    double a, double b, const std::function<void(const StateDrawable&)>& on_state,
-    const std::function<void(const EventDrawable&)>& on_event,
     const std::function<void(const ArrowDrawable&)>& on_arrow, int threads) {
   const std::vector<std::uint32_t> frames = window_frames(a, b);
   // Decode (or fetch from the shared cache) every touched frame up front —

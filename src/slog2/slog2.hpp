@@ -245,30 +245,15 @@ public:
   [[nodiscard]] const Category* category(std::int32_t id) const;
 
   /// Visit drawables intersecting [a, b], decoding only the frames whose
-  /// interval intersects the window.
-  void visit_window(double a, double b,
-                    const std::function<void(const StateDrawable&)>& on_state,
-                    const std::function<void(const EventDrawable&)>& on_event,
-                    const std::function<void(const ArrowDrawable&)>& on_arrow);
-
-  /// Same visit, but the touched frames are decoded in parallel on
-  /// `threads` workers (0 = hardware) before the serial in-order callback
-  /// pass — output is byte-identical to the serial overload at any thread
-  /// count, because the callbacks always run in traversal order.
+  /// interval intersects the window. The touched frames are decoded on
+  /// `threads` workers (0 = hardware) before the callback pass; the
+  /// callbacks always run serially in traversal order, so the visit is
+  /// identical at any thread count.
   void visit_window(double a, double b,
                     const std::function<void(const StateDrawable&)>& on_state,
                     const std::function<void(const EventDrawable&)>& on_event,
                     const std::function<void(const ArrowDrawable&)>& on_arrow,
-                    int threads);
-
-  /// Directory indices of every frame intersecting [a, b], in exactly the
-  /// order visit_window touches them. The unit of sharding for the
-  /// parallel query sweeps.
-  [[nodiscard]] std::vector<std::uint32_t> window_frames(double a, double b) const;
-
-  /// Decode frame `index` through the shared cache. The returned pointer
-  /// stays valid for as long as the caller holds it, even across eviction.
-  [[nodiscard]] std::shared_ptr<const Frame> frame_ptr(std::size_t index);
+                    int threads = 1);
 
   /// Preview of the smallest single frame covering [a, b] (zoomed-out
   /// rendering without touching leaf payloads), with its interval.
@@ -302,6 +287,14 @@ private:
   };
 
   void load(const std::uint8_t* data, std::size_t n, const ReadOptions& ro);
+
+  /// Directory indices of every frame intersecting [a, b], in exactly the
+  /// order visit_window touches them.
+  [[nodiscard]] std::vector<std::uint32_t> window_frames(double a, double b) const;
+
+  /// Decode frame `index` through the shared cache. The returned pointer
+  /// stays valid for as long as the caller holds it, even across eviction.
+  [[nodiscard]] std::shared_ptr<const Frame> frame_ptr(std::size_t index);
 
   util::MappedFile map_;              // path ctor: zero-copy view of the file
   std::vector<std::uint8_t> bytes_;   // bytes ctor: owned buffer

@@ -59,12 +59,6 @@ struct OnlineOptions {
   /// memory in their compact encoded form (tests); pilot-traced always
   /// configures a spill directory so per-session RSS stays bounded.
   std::filesystem::path spill_dir;
-
-  /// Superseded: sealed-chunk decodes now go through the process-wide
-  /// slog2::FrameCache (sized in bytes, shared by every session), so the
-  /// per-session entry count no longer bounds anything. Kept so existing
-  /// configs keep parsing; the value is ignored.
-  std::size_t chunk_cache = 4;
 };
 
 /// Resource accounting for one converter (the bounded-memory guarantee in

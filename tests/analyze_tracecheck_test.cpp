@@ -10,6 +10,7 @@
 #include "mpe/mpe.hpp"
 #include "pilot/pi.hpp"
 #include "pilot/runtime.hpp"
+#include "query/clocks.hpp"
 #include "util/fs.hpp"
 #include "workloads/collision_app.hpp"
 #include "workloads/thumbnail_app.hpp"
@@ -133,9 +134,9 @@ TEST(TraceCheck, ReceiveBeforeSendIsTC103) {
 }
 
 TEST(TraceCheck, NoCausalCycleFromAnyParseableTrace) {
-  // TC104 is a defensive invariant: FIFO matching from a single record
-  // stream always yields a valid linearization, so even a deliberately
-  // shuffled trace must never report a causal cycle.
+  // A trace whose records are shuffled out of time order still matches
+  // into an acyclic graph as long as each rank sends before it waits on
+  // the reply: no causal cycle.
   auto f = trace(3);
   send(f, 0.9, 2, 0, 9);
   send(f, 0.1, 0, 1, 5);
@@ -144,6 +145,32 @@ TEST(TraceCheck, NoCausalCycleFromAnyParseableTrace) {
   send(f, 0.2, 1, 2, 7);
   recv(f, 0.3, 2, 1, 7);
   EXPECT_FALSE(analyze::check_trace(f).has("TC104"));
+}
+
+TEST(TraceCheck, MatchedCycleIsTC104) {
+  // Each rank receives from the other before sending to it. Matching pairs
+  // each key's i-th send with its i-th receive, so both receives match and
+  // the matched messages form a cycle: stamping must force them through.
+  auto f = trace(2);
+  recv(f, 0.10, 0, 1, 5);
+  recv(f, 0.11, 1, 0, 5);
+  send(f, 0.20, 0, 1, 5);
+  send(f, 0.21, 1, 0, 5);
+
+  query::MsgGraph g = query::match_messages(f);
+  EXPECT_TRUE(query::stamp_clocks(g));
+  std::size_t matched = 0;
+  for (const query::MatchedMsg& m : g.msgs) {
+    if (!m.matched) continue;
+    ++matched;
+    EXPECT_FALSE(m.recv_stamp.empty());
+  }
+  EXPECT_EQ(matched, 2u);
+
+  const auto rep = analyze::check_trace(f);
+  const auto diags = rep.with_id("TC104");
+  ASSERT_EQ(diags.size(), 1u) << rep.to_text();
+  EXPECT_EQ(diags[0].severity, Severity::kError);
 }
 
 // --- TC201: wildcard-receive race -------------------------------------------

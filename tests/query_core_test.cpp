@@ -1,14 +1,12 @@
 // Unit tests for the src/query/ trace-analysis core: the typed Trace view,
-// the filter/group/aggregate combinators, the shared message-matching and
-// vector-clock engine, and the per-rank rollups the differ and the checker
-// are built on.
+// the shared message-matching and vector-clock engine, and the per-rank
+// rollups the differ and the checker are built on.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "clog2/clog2.hpp"
 #include "query/clocks.hpp"
-#include "query/combinators.hpp"
 #include "query/rollup.hpp"
 #include "query/slog2_rollup.hpp"
 #include "query/trace.hpp"
@@ -79,39 +77,6 @@ TEST(QueryTrace, EventIdLookupIsLastWins) {
                clog2::EventDef{21, "Wait", "orange", "%s"}};
   const query::Trace t(f);
   EXPECT_EQ(*t.event_id_of("Wait"), 21);
-}
-
-TEST(QueryCombinators, FilterWindowGroupAndAggregate) {
-  const clog2::File f = toy_trace();
-  const query::Trace t(f);
-
-  const query::Selection all = query::Selection::all(t);
-  EXPECT_EQ(all.size(), 12u);
-  EXPECT_EQ(all.messages().size(), 5u);
-  EXPECT_EQ(all.kind(query::StepKind::kSend).size(), 3u);
-  EXPECT_EQ(query::Selection::rank(t, 2).size(), 1u);
-
-  // Window is inclusive and swaps reversed bounds.
-  EXPECT_EQ(all.window(0.020, 0.034).size(), 4u);
-  EXPECT_EQ(all.window(0.034, 0.020).size(), 4u);
-
-  const auto by_rank = all.messages().group_by(
-      [](const query::Step& s) { return static_cast<int>(s.rank); });
-  ASSERT_EQ(by_rank.size(), 2u);  // rank 2 has no message halves
-  EXPECT_EQ(by_rank.at(0).size(), 3u);
-  EXPECT_EQ(by_rank.at(1).size(), 2u);
-
-  const std::uint64_t bytes = all.kind(query::StepKind::kSend)
-                                  .aggregate(std::uint64_t{0},
-                                             [](std::uint64_t acc,
-                                                const query::Step& s) {
-                                               return acc + s.size;
-                                             });
-  EXPECT_EQ(bytes, 28u);
-  EXPECT_EQ(all.count_if([](const query::Step& s) {
-              return s.kind == query::StepKind::kSync;
-            }),
-            2u);
 }
 
 TEST(QueryClocks, MatchingAndVectorClockOrder) {

@@ -1,10 +1,10 @@
-// Determinism property suite for the parallel query engine: every sharded
-// path — Trace construction, the per-rank rollups, the Selection
-// combinators, the legend/occupancy window sweeps, and the vector-clock
-// stamping — must produce output *identical* to the serial path at any
-// worker count. Doubles are compared with EXPECT_EQ (exact bits), because
-// the parallel implementations promise to replay the serial accumulation
-// order, not merely to be "close".
+// Determinism suite for the sharded query engine: each src/query operation
+// that shards its work — Trace construction, the per-rank rollups, and the
+// legend/occupancy window sweeps — must produce output *identical* to its
+// serial oracle (tests/query_oracle.hpp, or a plain serial visit_window
+// feed) at every worker count. Doubles are compared with EXPECT_EQ (exact
+// bits), because the sharded implementations promise to replay the serial
+// accumulation order, not merely to be "close".
 //
 // The fast 'QueryParallel' and 'FrameCacheConcurrency' suites run under the
 // sanitizers (they carry the TSan coverage for the shared decode cache and
@@ -16,15 +16,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "query/clocks.hpp"
-#include "query/combinators.hpp"
 #include "query/parallel_sweep.hpp"
 #include "query/rollup.hpp"
 #include "query/slog2_rollup.hpp"
 #include "query/trace.hpp"
+#include "query_oracle.hpp"
 #include "slog2/frame_cache.hpp"
 #include "slog2/slog2.hpp"
 #include "tracegen/tracegen.hpp"
@@ -41,12 +42,16 @@ clog2::File gen_trace(std::uint64_t events, std::int32_t nranks = 8,
   return tracegen::generate(o);
 }
 
-void expect_traces_identical(const query::Trace& a, const query::Trace& b) {
-  EXPECT_EQ(a.nranks(), b.nranks());
-  ASSERT_EQ(a.steps().size(), b.steps().size());
-  for (std::size_t i = 0; i < a.steps().size(); ++i) {
-    const query::Step& x = a.steps()[i];
-    const query::Step& y = b.steps()[i];
+/// Every worker count the sharded paths are checked at (0 = hardware).
+constexpr int kThreadCounts[] = {0, 1, 2, 4, 8};
+
+void expect_trace_matches(const query_oracle::TraceIndex& want,
+                          const query::Trace& got) {
+  EXPECT_EQ(got.nranks(), want.nranks);
+  ASSERT_EQ(got.steps().size(), want.steps.size());
+  for (std::size_t i = 0; i < want.steps.size(); ++i) {
+    const query::Step& x = want.steps[i];
+    const query::Step& y = got.steps()[i];
     ASSERT_EQ(x.time, y.time) << "step " << i;
     ASSERT_EQ(x.rank, y.rank) << "step " << i;
     ASSERT_EQ(x.kind, y.kind) << "step " << i;
@@ -56,19 +61,21 @@ void expect_traces_identical(const query::Trace& a, const query::Trace& b) {
     ASSERT_EQ(x.tag, y.tag) << "step " << i;
     ASSERT_EQ(x.size, y.size) << "step " << i;
   }
-  EXPECT_EQ(a.by_rank(), b.by_rank());
-  EXPECT_EQ(a.state_names(), b.state_names());
-  ASSERT_EQ(a.state_events().size(), b.state_events().size());
-  for (const auto& [id, ev] : a.state_events()) {
-    const query::StateEvent* other = b.state_event(id);
+  EXPECT_EQ(got.by_rank(), want.by_rank);
+  EXPECT_EQ(got.state_names(), want.state_names);
+  ASSERT_EQ(got.state_events().size(), want.state_events.size());
+  for (const auto& [id, ev] : want.state_events) {
+    const query::StateEvent* other = got.state_event(id);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(ev.state_id, other->state_id);
     EXPECT_EQ(ev.name, other->name);
     EXPECT_EQ(ev.is_start, other->is_start);
   }
-  EXPECT_EQ(a.has_span(), b.has_span());
-  EXPECT_EQ(a.t_min(), b.t_min());
-  EXPECT_EQ(a.t_max(), b.t_max());
+  for (const auto& [name, id] : want.solo_event_ids)
+    EXPECT_EQ(got.event_id_of(name), id) << name;
+  EXPECT_EQ(got.has_span(), want.have_span);
+  EXPECT_EQ(got.t_min(), want.t_min);
+  EXPECT_EQ(got.t_max(), want.t_max);
 }
 
 void expect_durations_identical(const query::StateDurations& a,
@@ -126,129 +133,10 @@ void expect_occupancy_identical(const query::WindowOccupancy& a,
   }
 }
 
-// Enough records that every parallel gate (2 * 64Ki-step chunks, the
-// 64Ki-state legend floor, the 10k-op clock floor) is actually crossed —
-// these tests must exercise the sharded code, not its serial fallback.
-constexpr std::uint64_t kFastEvents = 200000;
-
-TEST(QueryParallel, TraceBuildIdenticalAcrossThreadCounts) {
-  const clog2::File f = gen_trace(kFastEvents);
-  const query::Trace serial(f);
-  ASSERT_GE(serial.steps().size(), std::size_t{1} << 17)
-      << "fixture too small to cross the parallel gate";
-  for (int threads : {2, 8}) {
-    const query::Trace par(f, threads);
-    expect_traces_identical(serial, par);
-  }
-}
-
-TEST(QueryParallel, RollupsIdenticalAcrossThreadCounts) {
-  const clog2::File f = gen_trace(kFastEvents);
-  const query::Trace t(f);
-  const query::StateDurations sd = query::state_durations(t);
-  query::MsgGraph g = query::match_messages(f);
-  const query::MessageEdges me = query::message_edges(g);
-  for (int threads : {2, 8}) {
-    expect_durations_identical(sd, query::state_durations(t, threads));
-    expect_edges_identical(me, query::message_edges(g, threads));
-  }
-}
-
-TEST(QueryParallel, StampClocksIdenticalToSerial) {
-  const clog2::File f = gen_trace(kFastEvents);
-  query::MsgGraph serial_g = query::match_messages(f);
-  const bool serial_ok = query::stamp_clocks(serial_g);
-  for (int threads : {2, 8}) {
-    query::MsgGraph par_g = query::match_messages(f);
-    EXPECT_EQ(query::stamp_clocks(par_g, threads), serial_ok);
-    ASSERT_EQ(par_g.msgs.size(), serial_g.msgs.size());
-    for (std::size_t i = 0; i < serial_g.msgs.size(); ++i) {
-      ASSERT_EQ(par_g.msgs[i].stamped, serial_g.msgs[i].stamped) << "msg " << i;
-      ASSERT_EQ(par_g.msgs[i].send_stamp, serial_g.msgs[i].send_stamp)
-          << "msg " << i;
-      ASSERT_EQ(par_g.msgs[i].recv_stamp, serial_g.msgs[i].recv_stamp)
-          << "msg " << i;
-    }
-  }
-}
-
-TEST(QueryParallel, SelectionCombinatorsIdenticalAcrossThreadCounts) {
-  const clog2::File f = gen_trace(kFastEvents);
-  const query::Trace t(f);
-  const query::Selection all = query::Selection::all(t);
-  const double mid = (t.t_min() + t.t_max()) / 2.0;
-
-  const auto is_even_rank = [](const query::Step& s) { return s.rank % 2 == 0; };
-  const query::Selection filt = all.filter(is_even_rank);
-  const query::Selection win = all.window(t.t_min(), mid);
-  const query::Selection sends = all.kind(query::StepKind::kSend);
-  const query::Selection msgs = all.messages();
-  const auto grouped =
-      all.group_by([](const query::Step& s) { return static_cast<int>(s.rank); });
-  const std::uint64_t bytes = sends.aggregate(
-      std::uint64_t{0},
-      [](std::uint64_t acc, const query::Step& s) { return acc + s.size; });
-  const std::size_t nsync = all.count_if(
-      [](const query::Step& s) { return s.kind == query::StepKind::kSync; });
-
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(all.filter(is_even_rank, threads).indices(), filt.indices());
-    EXPECT_EQ(all.window(t.t_min(), mid, threads).indices(), win.indices());
-    EXPECT_EQ(all.kind(query::StepKind::kSend, threads).indices(),
-              sends.indices());
-    EXPECT_EQ(all.messages(threads).indices(), msgs.indices());
-
-    const auto grouped_p = all.group_by(
-        [](const query::Step& s) { return static_cast<int>(s.rank); }, threads);
-    ASSERT_EQ(grouped_p.size(), grouped.size());
-    for (const auto& [key, sel] : grouped)
-      EXPECT_EQ(grouped_p.at(key).indices(), sel.indices()) << "rank " << key;
-
-    EXPECT_EQ(sends.aggregate(
-                  std::uint64_t{0},
-                  [](std::uint64_t acc, const query::Step& s) {
-                    return acc + s.size;
-                  },
-                  [](std::uint64_t a, std::uint64_t b) { return a + b; },
-                  threads),
-              bytes);
-    EXPECT_EQ(all.count_if(
-                  [](const query::Step& s) {
-                    return s.kind == query::StepKind::kSync;
-                  },
-                  threads),
-              nsync);
-  }
-}
-
-TEST(QueryParallel, LegendTotalsIdenticalAcrossThreadCounts) {
-  const clog2::File f = gen_trace(kFastEvents);
-  slog2::ConvertOptions co;
-  const slog2::File s = slog2::convert(f, co);
-
-  query::LegendSweep sweep;
-  s.visit_window(
-      s.t_min, s.t_max,
-      [&](const slog2::StateDrawable& st) { sweep.add_state(st); },
-      [&](const slog2::EventDrawable& e) { sweep.add_event(e); },
-      [&](const slog2::ArrowDrawable& a) { sweep.add_arrow(a); });
-
-  const auto serial = sweep.totals();
-  for (int threads : {2, 8})
-    expect_totals_identical(serial, sweep.totals(threads));
-}
-
-TEST(QueryParallel, WindowSweepsIdenticalAcrossThreadCounts) {
-  const clog2::File f = gen_trace(kFastEvents);
-  slog2::ConvertOptions co;
-  co.frame_size = 16 * 1024;  // many frames, so the per-frame shards matter
-  const std::vector<std::uint8_t> bytes = slog2::serialize(slog2::convert(f, co));
-
-  slog2::Navigator nav(bytes);
-  const double a = nav.t_min();
-  const double b = (nav.t_min() + nav.t_max()) / 2.0;
-
-  // Serial reference: the plain Navigator visit feeding one sweep.
+/// Legend and occupancy sweeps of [a, b] at every worker count against the
+/// serial reference: a single-threaded Navigator visit feeding one
+/// LegendSweep and one WindowOccupancy.
+void expect_window_sweeps_match(slog2::Navigator& nav, double a, double b) {
   query::LegendSweep ref_sweep;
   query::WindowOccupancy ref_occ(nav.nranks(), a, b);
   nav.visit_window(
@@ -267,13 +155,100 @@ TEST(QueryParallel, WindowSweepsIdenticalAcrossThreadCounts) {
       });
   const auto ref_totals = ref_sweep.totals();
 
-  for (int threads : {1, 2, 8}) {
-    query::LegendSweep par = query::legend_window(nav, a, b, threads);
-    expect_totals_identical(ref_totals, par.totals());
-    const query::WindowOccupancy occ =
-        query::occupancy_window(nav, nav.nranks(), a, b, threads);
-    expect_occupancy_identical(ref_occ, occ);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_totals_identical(
+        ref_totals, query::legend_window(nav, a, b, threads).totals(threads));
+    expect_occupancy_identical(
+        ref_occ, query::occupancy_window(nav, nav.nranks(), a, b, threads));
   }
+}
+
+// Enough records that every parallel grain (64Ki-record Trace chunks, the
+// 64Ki-step/-message rollup floor, the 64Ki-state legend floor) is actually
+// crossed — these tests must exercise real multi-worker shards.
+constexpr std::uint64_t kFastEvents = 200000;
+
+TEST(QueryParallel, TraceBuildIdenticalAcrossThreadCounts) {
+  const clog2::File f = gen_trace(kFastEvents);
+  const query_oracle::TraceIndex want = query_oracle::build_trace(f);
+  ASSERT_GE(want.steps.size(), std::size_t{1} << 17)
+      << "fixture too small to span several Trace chunks";
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_trace_matches(want, query::Trace(f, threads));
+  }
+}
+
+TEST(QueryParallel, RollupsIdenticalAcrossThreadCounts) {
+  const clog2::File f = gen_trace(kFastEvents);
+  const query::Trace t(f);
+  const query::MsgGraph g = query::match_messages(f);
+  const query::StateDurations sd = query_oracle::state_durations(t);
+  const query::MessageEdges me = query_oracle::message_edges(g);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_durations_identical(sd, query::state_durations(t, threads));
+    expect_edges_identical(me, query::message_edges(g, threads));
+  }
+}
+
+TEST(QueryParallel, GoldenFixturesMatchOracle) {
+  const std::filesystem::path dir = PILOT_FIXTURE_DIR;
+  for (const char* name :
+       {"tiny.clog2", "messy.clog2", "diffpair.a.clog2", "diffpair.b.clog2"}) {
+    SCOPED_TRACE(name);
+    const clog2::File f = clog2::read_file(dir / name);
+    const query_oracle::TraceIndex want = query_oracle::build_trace(f);
+    const query::MsgGraph g = query::match_messages(f);
+    const query::StateDurations sd =
+        query_oracle::state_durations(query::Trace(f));
+    const query::MessageEdges me = query_oracle::message_edges(g);
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const query::Trace t(f, threads);
+      expect_trace_matches(want, t);
+      expect_durations_identical(sd, query::state_durations(t, threads));
+      expect_edges_identical(me, query::message_edges(g, threads));
+    }
+  }
+  for (const char* name : {"tiny.slog2", "tiny.v2.slog2"}) {
+    SCOPED_TRACE(name);
+    slog2::Navigator nav(dir / name);
+    expect_window_sweeps_match(nav, nav.t_min(), nav.t_max());
+    expect_window_sweeps_match(nav, nav.t_min(),
+                               (nav.t_min() + nav.t_max()) / 2.0);
+  }
+}
+
+TEST(QueryParallel, LegendTotalsIdenticalAcrossThreadCounts) {
+  const clog2::File f = gen_trace(kFastEvents);
+  slog2::ConvertOptions co;
+  const slog2::File s = slog2::convert(f, co);
+
+  query::LegendSweep sweep;
+  s.visit_window(
+      s.t_min, s.t_max,
+      [&](const slog2::StateDrawable& st) { sweep.add_state(st); },
+      [&](const slog2::EventDrawable& e) { sweep.add_event(e); },
+      [&](const slog2::ArrowDrawable& a) { sweep.add_arrow(a); });
+
+  const auto serial = sweep.totals();
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_totals_identical(serial, sweep.totals(threads));
+  }
+}
+
+TEST(QueryParallel, WindowSweepsIdenticalAcrossThreadCounts) {
+  const clog2::File f = gen_trace(kFastEvents);
+  slog2::ConvertOptions co;
+  co.frame_size = 16 * 1024;  // many frames, so the parallel decode matters
+  const std::vector<std::uint8_t> bytes = slog2::serialize(slog2::convert(f, co));
+
+  slog2::Navigator nav(bytes);
+  expect_window_sweeps_match(nav, nav.t_min(),
+                             (nav.t_min() + nav.t_max()) / 2.0);
 }
 
 // --- the shared decode cache -------------------------------------------------
@@ -371,11 +346,11 @@ TEST(FrameCacheConcurrency, EvictionKeepsServingAndBoundsBytes) {
 
 TEST(QueryParallelScale, MillionEventByteIdentity) {
   const clog2::File f = gen_trace(1000000, 16, 42);
-  const query::Trace serial(f);
-  const query::StateDurations sd = query::state_durations(serial);
-  query::MsgGraph serial_g = query::match_messages(f);
-  const query::MessageEdges me = query::message_edges(serial_g);
-  const bool serial_ok = query::stamp_clocks(serial_g);
+  const query_oracle::TraceIndex want = query_oracle::build_trace(f);
+  const query::MsgGraph g = query::match_messages(f);
+  const query::StateDurations sd =
+      query_oracle::state_durations(query::Trace(f));
+  const query::MessageEdges me = query_oracle::message_edges(g);
 
   slog2::ConvertOptions co;
   const slog2::File s = slog2::convert(f, co);
@@ -387,24 +362,17 @@ TEST(QueryParallelScale, MillionEventByteIdentity) {
       [&](const slog2::ArrowDrawable& a) { sweep.add_arrow(a); });
   const auto serial_totals = sweep.totals();
 
-  for (int threads : {2, 8}) {
-    const query::Trace par(f, threads);
-    expect_traces_identical(serial, par);
-    expect_durations_identical(sd, query::state_durations(par, threads));
-
-    query::MsgGraph par_g = query::match_messages(f);
-    expect_edges_identical(me, query::message_edges(par_g, threads));
-    EXPECT_EQ(query::stamp_clocks(par_g, threads), serial_ok);
-    ASSERT_EQ(par_g.msgs.size(), serial_g.msgs.size());
-    for (std::size_t i = 0; i < serial_g.msgs.size(); ++i) {
-      ASSERT_EQ(par_g.msgs[i].send_stamp, serial_g.msgs[i].send_stamp)
-          << "msg " << i;
-      ASSERT_EQ(par_g.msgs[i].recv_stamp, serial_g.msgs[i].recv_stamp)
-          << "msg " << i;
-    }
-
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const query::Trace t(f, threads);
+    expect_trace_matches(want, t);
+    expect_durations_identical(sd, query::state_durations(t, threads));
+    expect_edges_identical(me, query::message_edges(g, threads));
     expect_totals_identical(serial_totals, sweep.totals(threads));
   }
+
+  slog2::Navigator nav(slog2::serialize(s));
+  expect_window_sweeps_match(nav, nav.t_min(), nav.t_max());
 }
 
 }  // namespace

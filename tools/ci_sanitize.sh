@@ -39,7 +39,8 @@ cmake --build --preset sanitize-thread -j "$(nproc)" \
 # drives pilot-tracedigest's analysis over both encodings; the million-event
 # V2Scale sibling stays out by name like the other heavy suites.
 # 'QueryParallel\.' runs every sharded query path (trace build, rollups,
-# combinators, window sweeps, vector clocks) against its serial twin, and
+# legend totals, window sweeps) at 0..8 workers against its serial oracle
+# in tests/query_oracle.hpp, and
 # 'FrameCacheConcurrency' hammers the process-wide decode cache from
 # concurrent sessions; the million-event QueryParallelScale sibling stays
 # out by name like the other heavy suites.

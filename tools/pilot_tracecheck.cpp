@@ -26,8 +26,8 @@ int run(int argc, char** argv) {
                  "usage: %s <trace.clog2> [--json] [--replay=FILE.prl]\n"
                  "           [--stall-fraction=F] [--min-stall=SECONDS] "
                  "[--min-rounds=N] [--threads=N]\n"
-                 "--threads=N uses N workers (0 = hardware); the verdict is\n"
-                 "identical at any value.\n"
+                 "--threads=N shards only the trace build across N workers\n"
+                 "(0 = hardware); the verdict is identical at any value.\n"
                  "--replay cross-checks the trace against a .prl replay log\n"
                  "(RP20-RP22 findings on disagreement).\n"
                  "exit status: 0 clean, 1 findings, 2 usage/input error\n",
