@@ -19,6 +19,10 @@
 //                         interval bugs, wait cycle) — the tracecheck golden
 //   diffpair.a.clog2      reference / suspect pair for pilot-tracediff: b is
 //   diffpair.b.clog2      a with rank 2's tail cut and one event swapped
+//   tiny.svg              jumpshot render of tiny.slog2 (whole file, with
+//                         the count/incl/excl legend table)
+//   tiny.window.svg       jumpshot Navigator render of a window of
+//                         tiny.slog2 (swatch legend)
 //
 // Usage: pilot-genfixtures [outdir]   (default: tests/fixtures)
 #include <cstdio>
@@ -26,6 +30,7 @@
 #include <filesystem>
 
 #include "clog2/clog2.hpp"
+#include "jumpshot/render.hpp"
 #include "replay/prl.hpp"
 #include "slog2/slog2.hpp"
 #include "util/bytebuf.hpp"
@@ -198,6 +203,19 @@ void make_salvage_spills(const std::filesystem::path& dir) {
                 });
 }
 
+/// The renderer goldens, drawn from the checked-in tiny.slog2 exactly the
+/// way jumpshot_render_test reads it back, so the two compare byte for byte.
+void write_tiny_renders(const std::filesystem::path& dir) {
+  jumpshot::RenderOptions opts;
+  opts.title = "tiny <golden> & co";
+  util::write_file(dir / "tiny.svg",
+                   jumpshot::render_svg(slog2::read_file(dir / "tiny.slog2"), opts));
+  slog2::Navigator nav(dir / "tiny.slog2");
+  opts.t0 = 0.011;
+  opts.t1 = 0.031;
+  util::write_file(dir / "tiny.window.svg", jumpshot::render_svg(nav, opts));
+}
+
 int run(int argc, char** argv) {
   util::ArgParser args(argc, argv);
   if (args.positional().size() > 1 || args.has("help")) {
@@ -217,6 +235,7 @@ int run(int argc, char** argv) {
     co.encoding = slog2::FrameEncoding::kV2;
     slog2::write_file(dir / "tiny.v2.slog2", slog2::convert(tiny, co));
   }
+  write_tiny_renders(dir);
   replay::write_file(dir / "tiny.prl", make_tiny_prl());
   make_salvage_spills(dir);
   clog2::write_file(dir / "messy.clog2", make_messy_clog2());
@@ -226,7 +245,7 @@ int run(int argc, char** argv) {
 
   std::printf(
       "wrote tiny.clog2 tiny.slog2 tiny.v2.slog2 tiny.prl salvage.*.spill "
-      "messy.clog2 diffpair.{a,b}.clog2 -> %s\n",
+      "messy.clog2 diffpair.{a,b}.clog2 tiny.svg tiny.window.svg -> %s\n",
       dir.string().c_str());
   return 0;
 }
