@@ -6,13 +6,17 @@
 
 #include "jumpshot/render.hpp"
 #include "jumpshot/stats.hpp"
-#include "util/color.hpp"
+#include "jumpshot/svg.hpp"
 #include "util/fs.hpp"
-#include "util/strings.hpp"
 
 namespace jumpshot {
 
 namespace {
+using svg::emit;
+using svg::Escaped;
+using svg::Fixed;
+using svg::Seconds;
+
 constexpr const char* kCanvas = "#101014";
 constexpr const char* kText = "#c8c8c8";
 constexpr int kMarginLeft = 96;
@@ -20,18 +24,13 @@ constexpr int kMarginRight = 110;
 constexpr int kRowH = 22;
 constexpr int kRowGap = 8;
 constexpr int kTop = 56;
-
-std::string color_hex(const slog2::File& file, std::int32_t cat) {
-  const auto* c = file.category(cat);
-  if (c == nullptr || !util::is_known_color(c->color)) return "#888888";
-  return util::color_by_name(c->color).to_hex();
-}
 }  // namespace
 
 std::string render_stats_svg(const slog2::File& file, const StatsRenderOptions& opts) {
   const double a = std::isnan(opts.t0) ? file.t_min : opts.t0;
   const double b = std::isnan(opts.t1) ? file.t_max : opts.t1;
   const auto ws = window_stats(file, a, b);
+  const svg::Palette pal(file.categories);
 
   double max_busy = 0.0;
   for (const auto& r : ws.ranks) max_busy = std::max(max_busy, r.total_state_time());
@@ -43,71 +42,56 @@ std::string render_stats_svg(const slog2::File& file, const StatsRenderOptions& 
       kTop + std::max(nranks, 1) * (kRowH + kRowGap) + 24 + legend_lines * 16 + 12;
   const int plot_w = opts.width - kMarginLeft - kMarginRight;
 
-  std::string svg;
-  svg += util::strprintf(
-      "<svg xmlns='http://www.w3.org/2000/svg' width='%d' height='%d'>\n",
-      opts.width, height);
-  svg += util::strprintf("<rect width='%d' height='%d' fill='%s'/>\n", opts.width,
-                         height, kCanvas);
-  svg += util::strprintf(
-      "<text x='%d' y='20' fill='%s' font-size='14' font-family='sans-serif'>"
-      "%s</text>\n",
-      kMarginLeft, kText,
-      util::xml_escape(opts.title.empty() ? "duration statistics" : opts.title)
-          .c_str());
-  svg += util::strprintf(
-      "<text x='%d' y='40' fill='%s' font-size='12' font-family='monospace'>"
-      "window [%s .. %s]   load imbalance (max/mean busy) = %.3f</text>\n",
-      kMarginLeft, kText, util::human_seconds(a).c_str(),
-      util::human_seconds(b).c_str(), ws.imbalance());
+  std::string out;
+  emit(out, "<svg xmlns='http://www.w3.org/2000/svg' width='", opts.width,
+       "' height='", height, "'>\n<rect width='", opts.width, "' height='", height,
+       "' fill='", kCanvas, "'/>\n<text x='", kMarginLeft, "' y='20' fill='", kText,
+       "' font-size='14' font-family='sans-serif'>",
+       Escaped{opts.title.empty() ? "duration statistics" : opts.title},
+       "</text>\n<text x='", kMarginLeft, "' y='40' fill='", kText,
+       "' font-size='12' font-family='monospace'>window [", Seconds{a}, " .. ",
+       Seconds{b}, "]   load imbalance (max/mean busy) = ", Fixed{ws.imbalance(), 3},
+       "</text>\n");
 
   for (int r = 0; r < nranks; ++r) {
     const auto& rank = ws.ranks[static_cast<std::size_t>(r)];
     const double y = kTop + r * (kRowH + kRowGap);
-    std::string label = r < static_cast<int>(opts.rank_names.size())
-                            ? opts.rank_names[static_cast<std::size_t>(r)]
-                            : std::to_string(r);
-    svg += util::strprintf(
-        "<text x='%d' y='%.1f' fill='%s' font-size='12' text-anchor='end' "
-        "font-family='monospace'>%s</text>\n",
-        kMarginLeft - 8, y + kRowH * 0.7, kText, util::xml_escape(label).c_str());
+    const Fixed label_y{y + kRowH * 0.7, 1};
+    emit(out, "<text x='", kMarginLeft - 8, "' y='", label_y, "' fill='", kText,
+         "' font-size='12' text-anchor='end' font-family='monospace'>");
+    if (r < static_cast<int>(opts.rank_names.size()))
+      emit(out, Escaped{opts.rank_names[static_cast<std::size_t>(r)]});
+    else
+      emit(out, r);
+    out += "</text>\n";
 
     double x = kMarginLeft;
     for (const auto& [cat, secs] : rank.state_time) {
       const double w = secs / max_busy * plot_w;
       if (w <= 0) continue;
-      svg += util::strprintf(
-          "<rect x='%.2f' y='%.1f' width='%.2f' height='%d' fill='%s'>",
-          x, y, std::max(w, 0.5), kRowH, color_hex(file, cat).c_str());
-      const auto* c = file.category(cat);
-      svg += "<title>" +
-             util::xml_escape(util::strprintf(
-                 "%s: %s", c ? c->name.c_str() : "?",
-                 util::human_seconds(secs).c_str())) +
-             "</title></rect>\n";
+      const auto& sw = pal[cat];
+      emit(out, "<rect x='", Fixed{x, 2}, "' y='", Fixed{y, 1}, "' width='",
+           Fixed{std::max(w, 0.5), 2}, "' height='", kRowH, "' fill='", sw.hex,
+           "'><title>", sw.name, ": ", Seconds{secs}, "</title></rect>\n");
       x += w;
     }
-    svg += util::strprintf(
-        "<text x='%.1f' y='%.1f' fill='%s' font-size='11' "
-        "font-family='monospace'>%s</text>\n",
-        x + 6, y + kRowH * 0.7, kText,
-        util::human_seconds(rank.total_state_time()).c_str());
+    emit(out, "<text x='", Fixed{x + 6, 1}, "' y='", label_y, "' fill='", kText,
+         "' font-size='11' font-family='monospace'>",
+         Seconds{rank.total_state_time()}, "</text>\n");
   }
 
   // Category legend.
   int ly = kTop + std::max(nranks, 1) * (kRowH + kRowGap) + 18;
   for (const auto& c : file.categories) {
     if (c.kind != slog2::CategoryKind::kState) continue;
-    svg += util::strprintf(
-        "<rect x='%d' y='%d' width='10' height='10' fill='%s'/>"
-        "<text x='%d' y='%d' fill='%s' font-size='11' font-family='monospace'>"
-        "%s</text>\n",
-        kMarginLeft, ly - 9, color_hex(file, c.id).c_str(), kMarginLeft + 16, ly,
-        kText, util::xml_escape(c.name).c_str());
+    emit(out, "<rect x='", kMarginLeft, "' y='", ly - 9,
+         "' width='10' height='10' fill='", pal[c.id].hex, "'/><text x='",
+         kMarginLeft + 16, "' y='", ly, "' fill='", kText,
+         "' font-size='11' font-family='monospace'>", Escaped{c.name}, "</text>\n");
     ly += 16;
   }
-  svg += "</svg>\n";
-  return svg;
+  out += "</svg>\n";
+  return out;
 }
 
 void render_stats_to_file(const std::filesystem::path& path, const slog2::File& file,

@@ -112,15 +112,32 @@ FrameCache::Owner FrameCache::owner_for_path(const std::filesystem::path& path) 
   long long mtime = 0;
   const auto t = std::filesystem::last_write_time(path, ec);
   if (!ec) mtime = static_cast<long long>(t.time_since_epoch().count());
-  const std::string key = canon.string() + '|' + std::to_string(size) + '|' +
-                          std::to_string(mtime);
-  // A registry (not a hash) so two files can never collide into one owner.
+  const std::string version = std::to_string(size) + '|' + std::to_string(mtime);
+  // One entry per path (a registry, not a hash, so two files can never
+  // collide into one owner). A rewritten file gets a fresh owner and the
+  // previous version's frames are dropped: no reader can ask for them under
+  // the new owner, and keeping them would let every rewrite of a file add
+  // resident frames until the LRU got round to them.
+  struct Version {
+    std::string stamp;
+    Owner owner = 0;
+  };
   static std::mutex reg_mu;
-  static std::map<std::string, Owner>* registry = new std::map<std::string, Owner>();
-  std::lock_guard<std::mutex> lock(reg_mu);
-  auto [it, inserted] = registry->try_emplace(key, 0);
-  if (inserted) it->second = fresh_owner();
-  return it->second;
+  static auto* registry = new std::map<std::string, Version>();
+  Owner stale = 0;
+  Owner owner = 0;
+  {
+    std::lock_guard<std::mutex> lock(reg_mu);
+    Version& v = (*registry)[canon.string()];
+    if (v.owner == 0 || v.stamp != version) {
+      stale = v.owner;
+      v.stamp = version;
+      v.owner = fresh_owner();
+    }
+    owner = v.owner;
+  }
+  if (stale != 0) global().erase_owner(stale);
+  return owner;
 }
 
 }  // namespace slog2

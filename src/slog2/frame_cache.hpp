@@ -70,9 +70,11 @@ public:
   /// A fresh private owner id (in-memory navigators, online converters).
   static Owner fresh_owner();
 
-  /// Stable owner id for an on-disk file, keyed by canonical path + size +
-  /// mtime: concurrent sessions over the same file share decoded frames,
-  /// and a rewritten file gets a new id instead of stale frames.
+  /// Owner id for an on-disk file: one per canonical path, stamped with the
+  /// file's size + mtime. Concurrent sessions over the same file share
+  /// decoded frames; when the file has been rewritten, the path gets a fresh
+  /// id and the previous version's frames are erased from the global cache
+  /// (a navigator still open on the old bytes simply decodes again).
   static Owner owner_for_path(const std::filesystem::path& path);
 
 private:

@@ -59,11 +59,18 @@ constexpr std::array<NamedColor, 38> kColors{{
     {"brown", {165, 42, 42}},
 }};
 
-std::string lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
+bool equal_ci(std::string_view a, std::string_view b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+           return std::tolower(static_cast<unsigned char>(x)) ==
+                  std::tolower(static_cast<unsigned char>(y));
+         });
+}
+
+const NamedColor* find_color(std::string_view name) {
+  for (const auto& nc : kColors)
+    if (equal_ci(nc.name, name)) return &nc;
+  return nullptr;
 }
 
 int hex_digit(char c) {
@@ -78,18 +85,11 @@ int hex_digit(char c) {
 std::string Color::to_hex() const { return strprintf("#%02x%02x%02x", r, g, b); }
 
 Color color_by_name(std::string_view name) {
-  const std::string key = lower(name);
-  for (const auto& nc : kColors)
-    if (nc.name == key) return nc.color;
+  if (const auto* nc = find_color(name)) return nc->color;
   throw UsageError("unknown colour name: " + std::string(name));
 }
 
-bool is_known_color(std::string_view name) {
-  const std::string key = lower(name);
-  for (const auto& nc : kColors)
-    if (nc.name == key) return true;
-  return false;
-}
+bool is_known_color(std::string_view name) { return find_color(name) != nullptr; }
 
 Color color_from_hex(std::string_view hex) {
   if (hex.size() != 7 || hex[0] != '#')

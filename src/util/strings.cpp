@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -44,34 +45,63 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 
 std::string xml_escape(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
+  append_xml_escaped(out, s);
   return out;
 }
 
+void append_xml_escaped(std::string& out, std::string_view s) {
+  // Copy runs of plain bytes in one append; only the five specials expand.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char* entity = nullptr;
+    switch (s[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      case '\'': entity = "&apos;"; break;
+      default: continue;
+    }
+    out.append(s, run, i - run);
+    out += entity;
+    run = i + 1;
+  }
+  out.append(s, run);
+}
+
 std::string strprintf(const char* fmt, ...) {
+  // Format once into a stack buffer; only output that does not fit takes a
+  // second pass straight into the string.
+  char buf[256];
   va_list ap;
   va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
-  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
   va_end(ap);
   std::string out;
   if (n > 0) {
-    out.resize(static_cast<std::size_t>(n));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
+    const auto len = static_cast<std::size_t>(n);
+    if (len < sizeof buf) {
+      out.assign(buf, len);
+    } else {
+      out.resize(len);
+      std::vsnprintf(out.data(), len + 1, fmt, ap2);
+    }
   }
   va_end(ap2);
   return out;
+}
+
+void append_fixed(std::string& out, double v, int prec) {
+  // Sign, 309 integer digits of DBL_MAX, the point and the fraction fit.
+  char buf[512];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, prec);
+  if (r.ec == std::errc{}) {
+    out.append(buf, r.ptr);
+  } else {
+    out += strprintf("%.*f", prec, v);
+  }
 }
 
 std::string truncate_bytes(std::string_view s, std::size_t max_bytes) {
@@ -80,11 +110,26 @@ std::string truncate_bytes(std::string_view s, std::size_t max_bytes) {
 }
 
 std::string human_seconds(double seconds) {
+  std::string out;
+  append_human_seconds(out, seconds);
+  return out;
+}
+
+void append_human_seconds(std::string& out, double seconds) {
   const double a = seconds < 0 ? -seconds : seconds;
-  if (a >= 1.0) return strprintf("%.3f s", seconds);
-  if (a >= 1e-3) return strprintf("%.3f ms", seconds * 1e3);
-  if (a >= 1e-6) return strprintf("%.3f us", seconds * 1e6);
-  return strprintf("%.1f ns", seconds * 1e9);
+  if (a >= 1.0) {
+    append_fixed(out, seconds, 3);
+    out += " s";
+  } else if (a >= 1e-3) {
+    append_fixed(out, seconds * 1e3, 3);
+    out += " ms";
+  } else if (a >= 1e-6) {
+    append_fixed(out, seconds * 1e6, 3);
+    out += " us";
+  } else {
+    append_fixed(out, seconds * 1e9, 1);
+    out += " ns";
+  }
 }
 
 std::string mask_floats(const std::string& text) {

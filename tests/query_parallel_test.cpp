@@ -309,6 +309,52 @@ TEST(FrameCacheConcurrency, ConcurrentSessionsShareOneFile) {
   std::filesystem::remove(path);
 }
 
+TEST(FrameCacheConcurrency, RewrittenFileReplacesItsCachedFrames) {
+  slog2::ConvertOptions co;
+  co.frame_size = 8 * 1024;
+  const slog2::File v1 = slog2::convert(gen_trace(20000, 4, 21), co);
+  const slog2::File v2 = slog2::convert(gen_trace(30000, 4, 22), co);
+  ASSERT_NE(v1.stats.total_states, v2.stats.total_states);
+
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "frame_cache_rewrite.slog2";
+  const auto count_states = [](slog2::Navigator& nav) {
+    std::uint64_t states = 0;
+    nav.visit_window(
+        nav.t_min(), nav.t_max(), [&](const slog2::StateDrawable&) { ++states; },
+        [](const slog2::EventDrawable&) {}, [](const slog2::ArrowDrawable&) {});
+    return states;
+  };
+  slog2::FrameCache& cache = slog2::FrameCache::global();
+  cache.clear();
+
+  slog2::write_file(path, v1);
+  {
+    slog2::Navigator nav(path);
+    EXPECT_EQ(count_states(nav), v1.stats.total_states);
+    EXPECT_EQ(cache.stats().entries, nav.frames_decoded());
+  }
+  // Rewrite the file in place: the next open must see the new drawables,
+  // and the old version's frames must leave the cache with it.
+  slog2::write_file(path, v2);
+  {
+    slog2::Navigator nav(path);
+    EXPECT_EQ(count_states(nav), v2.stats.total_states);
+    EXPECT_EQ(cache.stats().entries, nav.frames_decoded());
+  }
+  // Reopening the unchanged file reuses its frames.
+  {
+    const auto before = cache.stats();
+    slog2::Navigator nav(path);
+    EXPECT_EQ(count_states(nav), v2.stats.total_states);
+    EXPECT_EQ(cache.stats().misses, before.misses);
+    EXPECT_EQ(cache.stats().entries, before.entries);
+  }
+
+  cache.clear();
+  std::filesystem::remove(path);
+}
+
 TEST(FrameCacheConcurrency, EvictionKeepsServingAndBoundsBytes) {
   const clog2::File f = gen_trace(60000, 4, 13);
   slog2::ConvertOptions co;

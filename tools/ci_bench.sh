@@ -1,9 +1,10 @@
 #!/bin/sh
 # Perf smoke leg: build bench_pipeline_scale, run it at the small trace size
-# only, and fail if single-thread convert throughput regressed by more than
-# 2x against the checked-in baseline (bench/baseline_pipeline.json). The 2x
-# margin absorbs machine-to-machine variance while still catching an
-# accidental O(n log n) -> O(n^2) (or allocation-storm) regression.
+# only, and fail if single-thread convert throughput or the zoomed-window
+# render time regressed by more than 2x against the checked-in baseline
+# (bench/baseline_pipeline.json). The 2x margin absorbs machine-to-machine
+# variance while still catching an accidental O(n log n) -> O(n^2) (or
+# allocation-storm) regression, in the converter or in the SVG emitter.
 #
 # A second gate runs bench_world_scale --quick=1 and compares the 1024-rank
 # task-substrate wall time against bench/baseline_world_scale.json the same
@@ -77,6 +78,20 @@ CUR_INT=$(printf '%.0f' "$CURRENT")
 BASE_INT=$(printf '%.0f' "$BASELINE")
 if [ $((CUR_INT * 2)) -lt "$BASE_INT" ]; then
   echo "FAIL: convert throughput regressed >2x vs baseline" >&2
+  exit 1
+fi
+
+# Render gate: the same run's Navigator window render. Wall time is "lower
+# is better" and only a few ms, so compare as floats.
+CUR_RENDER=$(json_num "$RUN_DIR/bench_out/BENCH_pipeline.json" window_render_ms_small)
+BASE_RENDER=$(json_num bench/baseline_pipeline.json window_render_ms_small)
+[ -n "$CUR_RENDER" ] || { echo "FAIL: no window render time in bench output" >&2; exit 1; }
+[ -n "$BASE_RENDER" ] || {
+  echo "FAIL: no baseline window render time in bench/baseline_pipeline.json" >&2; exit 1; }
+
+echo "window render: current ${CUR_RENDER} ms, baseline ${BASE_RENDER} ms"
+if awk -v c="$CUR_RENDER" -v b="$BASE_RENDER" 'BEGIN { exit !(c > 2 * b) }'; then
+  echo "FAIL: window render time regressed >2x vs baseline" >&2
   exit 1
 fi
 
