@@ -3,7 +3,7 @@
 #include <array>
 
 #include "util/fs.hpp"
-#include "util/streamio.hpp"
+#include "util/mmapio.hpp"
 #include "util/strings.hpp"
 
 namespace clog2 {
@@ -72,8 +72,7 @@ void append_record(util::ByteWriter& w, const Record& rec) {
 
 namespace {
 
-// Shared by the in-memory ByteReader and the windowed FileByteReader —
-// identical decode logic guarantees identical accept/reject verdicts.
+// Shared by the whole-file ByteReader and the live-stream ProbeReader.
 template <typename Reader>
 Record read_record_any(Reader& r) {
   const auto kind = static_cast<RecordKind>(r.u8());
@@ -379,18 +378,19 @@ std::string to_text(const File& file) {
 
 void stream_text(const std::filesystem::path& path,
                  const std::function<void(const std::string&)>& sink) {
+  // Both passes decode page-cache slices of one mapping with parse()'s
+  // reader, one record in memory at a time.
+  const util::MappedFile map(path);
   // Validation pass: decode everything and discard, so a bad file rejects
   // (with parse()'s verdict) before a single byte of text is emitted.
   {
-    util::FileByteReader r(path);
+    util::ByteReader r(map.data(), map.size());
     const StreamHeader h = read_stream_header(r);
     for (std::uint64_t i = 0; i < h.nrecords; ++i) (void)read_record_any(r);
     if (r.u8() != static_cast<std::uint8_t>(RecordKind::kEndLog))
       throw util::IoError("clog2: missing end-of-log marker");
   }
-  // Printing pass: re-decode through the window, one record in memory at a
-  // time.
-  util::FileByteReader r(path);
+  util::ByteReader r(map.data(), map.size());
   const StreamHeader h = read_stream_header(r);
   sink(util::strprintf("CLOG-2 v%u  ranks=%d  records=%zu  comment=\"%s\"\n",
                        h.version, h.nranks, h.nrecords, h.comment.c_str()));

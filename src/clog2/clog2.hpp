@@ -118,13 +118,13 @@ File read_file(const std::filesystem::path& path);
 /// Human-readable dump (the clog2print tool).
 std::string to_text(const File& file);
 
-/// Stream the to_text() dump of an on-disk trace through `sink` using a
-/// fixed-size read window: RSS peaks at the window (plus one record), not at
-/// the full record vector. Runs a validation pass first — with exactly the
-/// accept/reject verdict of parse() — and only then a printing pass, so a
-/// corrupt or truncated file throws util::IoError before any output is
-/// emitted (no partial dump). Output is byte-identical to
-/// to_text(read_file(path)).
+/// Stream the to_text() dump of an on-disk trace through `sink`. The file
+/// is mapped (util::MappedFile, which reads it into a buffer where mmap is
+/// unavailable) and decoded with parse()'s own reader, one record at a
+/// time, so the record vector is never materialized. A validation pass runs
+/// first, with exactly parse()'s verdicts and messages, so a corrupt or
+/// truncated file throws util::IoError before any output is emitted (no
+/// partial dump). Output is byte-identical to to_text(read_file(path)).
 void stream_text(const std::filesystem::path& path,
                  const std::function<void(const std::string&)>& sink);
 
@@ -139,11 +139,13 @@ void stream_text(const std::filesystem::path& path,
 /// kind, bad message kind, an impossibly large record) still throws
 /// util::IoError, so a corrupt stream fails loudly at the first bad byte.
 ///
-/// The accepted record language is exactly parse()'s: feeding a complete
-/// file through in any chunking yields the same record sequence parse()
-/// yields, and a file parse() rejects makes next() throw (possibly only
-/// once the whole file has been fed — a count/end-marker mismatch is not
-/// detectable earlier on a stream).
+/// The accepted record language is parse()'s minus one safety bound: a
+/// string longer than kMaxRecordBytes throws util::IoError here ("exceeds
+/// the ... record bound") while parse() accepts it. Otherwise feeding a
+/// complete file through in any chunking yields the same record sequence
+/// parse() yields, and a file parse() rejects makes next() throw (possibly
+/// only once the whole file has been fed — a count/end-marker mismatch is
+/// not detectable earlier on a stream).
 class StreamReader {
 public:
   enum class Status : std::uint8_t {

@@ -596,6 +596,24 @@ const Category* File::category(std::int32_t id) const {
   return nullptr;
 }
 
+void detail::visit_frame(const Frame& f, double a, double b,
+                         const std::function<void(const StateDrawable&)>& on_state,
+                         const std::function<void(const EventDrawable&)>& on_event,
+                         const std::function<void(const ArrowDrawable&)>& on_arrow) {
+  if (on_state)
+    for (const auto& s : f.states)
+      if (s.end_time >= a && s.start_time <= b) on_state(s);
+  if (on_event)
+    for (const auto& e : f.events)
+      if (e.time >= a && e.time <= b) on_event(e);
+  if (on_arrow)
+    for (const auto& ar : f.arrows) {
+      const double lo = std::min(ar.start_time, ar.end_time);
+      const double hi = std::max(ar.start_time, ar.end_time);
+      if (hi >= a && lo <= b) on_arrow(ar);
+    }
+}
+
 void File::visit_window(
     double a, double b, const std::function<void(const StateDrawable&)>& on_state,
     const std::function<void(const EventDrawable&)>& on_event,
@@ -613,18 +631,7 @@ void File::visit_window(
       // whose interval equals the global span, so pruning here is safe.
       continue;
     }
-    if (on_state)
-      for (const auto& s : f->states)
-        if (s.end_time >= a && s.start_time <= b) on_state(s);
-    if (on_event)
-      for (const auto& e : f->events)
-        if (e.time >= a && e.time <= b) on_event(e);
-    if (on_arrow)
-      for (const auto& ar : f->arrows) {
-        const double lo = std::min(ar.start_time, ar.end_time);
-        const double hi = std::max(ar.start_time, ar.end_time);
-        if (hi >= a && lo <= b) on_arrow(ar);
-      }
+    detail::visit_frame(*f, a, b, on_state, on_event, on_arrow);
     if (f->right) stack.push_back(f->right.get());
     if (f->left) stack.push_back(f->left.get());
   }
@@ -638,6 +645,27 @@ void File::visit_frames(const std::function<void(const Frame&)>& fn) const {
     if (f.right) go(*f.right);
   };
   go(*root);
+}
+
+std::string detail::drawables_text(const File& file) {
+  std::string out;
+  file.visit_window(
+      file.t_min, file.t_max,
+      [&](const StateDrawable& s) {
+        out += util::strprintf(
+            "  state cat=%d rank=%d [%.9f, %.9f] depth=%d \"%s\"\n", s.category_id,
+            s.rank, s.start_time, s.end_time, s.depth, s.start_text.c_str());
+      },
+      [&](const EventDrawable& e) {
+        out += util::strprintf("  event cat=%d rank=%d t=%.9f \"%s\"\n",
+                               e.category_id, e.rank, e.time, e.text.c_str());
+      },
+      [&](const ArrowDrawable& a) {
+        out += util::strprintf("  arrow %d->%d [%.9f, %.9f] tag=%d size=%u\n",
+                               a.src_rank, a.dst_rank, a.start_time, a.end_time,
+                               a.tag, a.size);
+      });
+  return out;
 }
 
 std::string to_text(const File& file, bool dump_drawables) {
@@ -672,24 +700,7 @@ std::string to_text(const File& file, bool dump_drawables) {
     out += util::strprintf("    [%d] %-6s %-24s %s\n", c.id, kind, c.name.c_str(),
                            c.color.c_str());
   }
-  if (dump_drawables) {
-    file.visit_window(
-        file.t_min, file.t_max,
-        [&](const StateDrawable& s) {
-          out += util::strprintf(
-              "  state cat=%d rank=%d [%.9f, %.9f] depth=%d \"%s\"\n", s.category_id,
-              s.rank, s.start_time, s.end_time, s.depth, s.start_text.c_str());
-        },
-        [&](const EventDrawable& e) {
-          out += util::strprintf("  event cat=%d rank=%d t=%.9f \"%s\"\n",
-                                 e.category_id, e.rank, e.time, e.text.c_str());
-        },
-        [&](const ArrowDrawable& a) {
-          out += util::strprintf("  arrow %d->%d [%.9f, %.9f] tag=%d size=%u\n",
-                                 a.src_rank, a.dst_rank, a.start_time, a.end_time,
-                                 a.tag, a.size);
-        });
-  }
+  if (dump_drawables) out += detail::drawables_text(file);
   return out;
 }
 

@@ -4,11 +4,15 @@
 // assemble() tail, which is what makes the online finalize() output
 // byte-identical to the offline converter on the same records.
 //
+// It also holds the per-frame visit and drawable text the readers in
+// serialize.cpp share with File.
+//
 // Everything here is an implementation detail: the stable surface is
 // slog2.hpp. Do not include this header outside src/slog2 and src/traced.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -116,5 +120,16 @@ std::unique_ptr<Frame> build_frame(Collected items, double a, double b, int dept
 void assemble(File& out, Collected items, bool any_instance,
               const ConvertOptions& opts, int nthreads,
               std::vector<std::string>* warnings);
+
+/// Call back every drawable of `f` whose time range intersects [a, b] —
+/// the per-frame step of File::visit_window and Navigator::visit_window.
+void visit_frame(const Frame& f, double a, double b,
+                 const std::function<void(const StateDrawable&)>& on_state,
+                 const std::function<void(const EventDrawable&)>& on_event,
+                 const std::function<void(const ArrowDrawable&)>& on_arrow);
+
+/// to_text()'s drawable lines for `file` over [t_min, t_max]; stream_text()
+/// prints each frame through it as a one-frame File.
+std::string drawables_text(const File& file);
 
 }  // namespace slog2::detail

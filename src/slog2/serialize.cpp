@@ -12,15 +12,15 @@
 // A v1-only reader sees version 4 and fails loudly ("unsupported version");
 // this reader accepts both unless ReadOptions::require_encoding pins one.
 #include <array>
-#include <fstream>
+#include <utility>
 
+#include "slog2/convert_internal.hpp"
 #include "slog2/frame_cache.hpp"
 #include "slog2/frame_codec.hpp"
 #include "slog2/slog2.hpp"
 #include "util/fs.hpp"
 #include "util/mmapio.hpp"
 #include "util/parallel.hpp"
-#include "util/streamio.hpp"
 #include "util/strings.hpp"
 
 namespace slog2 {
@@ -48,8 +48,7 @@ void write_preview(util::ByteWriter& w, const Preview& pv) {
   }
 }
 
-template <typename Reader>
-Preview read_preview(Reader& r) {
+Preview read_preview(util::ByteReader& r) {
   Preview pv;
   pv.nbuckets = r.i32();
   pv.arrow_count = r.u32();
@@ -115,8 +114,7 @@ void write_payload(util::ByteWriter& w, const Frame& f, FrameEncoding enc) {
     write_payload_v1(w, f);
 }
 
-template <typename Reader>
-void read_payload_v1(Reader& r, Frame* f) {
+void read_payload_v1(util::ByteReader& r, Frame* f) {
   // Drawable counts are untrusted; bound each by the remaining bytes at the
   // smallest conceivable per-entry size before reserving.
   const std::size_t nstates = r.checked_count(r.u32(), 4);
@@ -156,16 +154,6 @@ void read_payload_v1(Reader& r, Frame* f) {
   }
 }
 
-// Payloads are always decoded from contiguous bytes (parse()'s blob, the
-// Navigator's mapped buffer, stream_text's per-frame read), so the dispatch
-// takes a ByteReader, not the Reader template the header paths use.
-void read_payload(util::ByteReader& r, Frame* f, FrameEncoding enc) {
-  if (enc == FrameEncoding::kV2)
-    detail::decode_drawables_v2(r, &f->states, &f->events, &f->arrows);
-  else
-    read_payload_v1(r, f);
-}
-
 void write_stats(util::ByteWriter& w, const ConvertStats& st) {
   w.u64(st.total_states);
   w.u64(st.total_events);
@@ -181,8 +169,7 @@ void write_stats(util::ByteWriter& w, const ConvertStats& st) {
   w.i32(st.tree_depth);
 }
 
-template <typename Reader>
-ConvertStats read_stats(Reader& r) {
+ConvertStats read_stats(util::ByteReader& r) {
   ConvertStats st;
   st.total_states = r.u64();
   st.total_events = r.u64();
@@ -238,23 +225,19 @@ void write_header(util::ByteWriter& w, const File& file) {
   write_stats(w, file.stats);
 }
 
-struct Header {
-  FrameEncoding encoding = FrameEncoding::kV1;
-  std::int32_t nranks = 0;
-  double t_min = 0.0, t_max = 0.0;
-  std::uint64_t frame_size = 0;
-  std::vector<Category> categories;
-  ConvertStats stats;
-};
-
-template <typename Reader>
-Header read_header(Reader& r, const ReadOptions& ro) {
+// The one reader of an SLOG-2 header and frame directory: parse(), the
+// Navigator and stream_text() all start here, so every reader accepts
+// exactly the same files. Counts are bounded by the remaining bytes, child
+// links point forward, every payload extent lies inside the blob and
+// nothing follows the blob. Payloads are left to decode_payload().
+detail::Directory read_directory(util::ByteReader& r, const ReadOptions& ro) {
+  detail::Directory d;
+  File& h = d.head;
   const std::uint8_t* magic = r.take(kMagic.size());
   for (std::size_t i = 0; i < kMagic.size(); ++i)
     if (magic[i] != static_cast<std::uint8_t>(kMagic[i]))
       throw util::IoError("slog2: bad magic (not an SLOG-2 file)");
   const std::uint32_t version = r.u32();
-  Header h;
   if (version == kVersionV1) {
     h.encoding = FrameEncoding::kV1;
   } else if (version == kVersionV2) {
@@ -292,7 +275,60 @@ Header read_header(Reader& r, const ReadOptions& ro) {
     h.categories.push_back(std::move(c));
   }
   h.stats = read_stats(r);
-  return h;
+
+  // A directory entry is at least 44 bytes of fixed fields plus a minimal
+  // preview; checking the count keeps the reserve honest.
+  const auto node_count = static_cast<std::int64_t>(r.checked_count(r.u32(), 44));
+  d.frames.reserve(static_cast<std::size_t>(node_count));
+  for (std::int64_t i = 0; i < node_count; ++i) {
+    detail::DirEntry e;
+    e.t0 = r.f64();
+    e.t1 = r.f64();
+    e.depth = r.i32();
+    e.left = r.i32();
+    e.right = r.i32();
+    for (const std::int32_t link : {e.left, e.right})
+      if (link != -1 && (link <= i || link >= node_count))
+        throw util::IoError("slog2: corrupt frame directory links");
+    e.offset = r.u64();
+    e.length = r.u64();
+    e.preview = read_preview(r);
+    d.frames.push_back(std::move(e));
+  }
+  // A frame linked from two parents belongs to the later parent (its left
+  // link before its right), the tree parse() has always rebuilt; dropping
+  // the losing link gives every reader that one tree.
+  std::vector<char> linked(d.frames.size(), 0);
+  for (std::size_t i = d.frames.size(); i-- > 0;)
+    for (std::int32_t* link : {&d.frames[i].left, &d.frames[i].right})
+      if (*link != -1 && std::exchange(linked[static_cast<std::size_t>(*link)], 1))
+        *link = -1;
+
+  d.blob_len = r.u64();
+  d.blob = r.take(d.blob_len);
+  if (!r.at_end()) throw util::IoError("slog2: trailing bytes after payload blob");
+  // Two comparisons, not `offset + length > blob_len`: hostile u64s can
+  // wrap the sum back under the limit.
+  for (const detail::DirEntry& e : d.frames)
+    if (e.length > d.blob_len || e.offset > d.blob_len - e.length)
+      throw util::IoError("slog2: frame payload extent out of range");
+  return d;
+}
+
+// The one payload decode: frame `i` of a checked directory, its interval
+// and drawables (the preview stays in the directory). A payload with bytes
+// left over is corrupt.
+void decode_payload(const detail::Directory& d, std::size_t i, Frame* f) {
+  const detail::DirEntry& e = d.frames[i];
+  f->t0 = e.t0;
+  f->t1 = e.t1;
+  f->depth = e.depth;
+  util::ByteReader r(d.blob + e.offset, static_cast<std::size_t>(e.length));
+  if (d.head.encoding == FrameEncoding::kV2)
+    detail::decode_drawables_v2(r, &f->states, &f->events, &f->arrows);
+  else
+    read_payload_v1(r, f);
+  if (!r.at_end()) throw util::IoError("slog2: frame payload has trailing bytes");
 }
 
 }  // namespace
@@ -355,76 +391,22 @@ File parse(const std::vector<std::uint8_t>& bytes, const ReadOptions& ro) {
 
 File parse(const std::uint8_t* data, std::size_t n, const ReadOptions& ro) {
   util::ByteReader r(data, n);
-  const Header h = read_header(r, ro);
-
-  File file;
-  file.encoding = h.encoding;
-  file.nranks = h.nranks;
-  file.t_min = h.t_min;
-  file.t_max = h.t_max;
-  file.frame_size = h.frame_size;
-  file.categories = h.categories;
-  file.stats = h.stats;
-
-  // A directory entry is at least 44 bytes of fixed fields plus a minimal
-  // preview; checking the count keeps the two reserves below honest.
-  const std::uint32_t node_count =
-      static_cast<std::uint32_t>(r.checked_count(r.u32(), 44));
-  struct NodeMeta {
-    double t0, t1;
-    std::int32_t depth, left, right;
-    std::uint64_t offset, length;
-    Preview preview;
-  };
-  std::vector<NodeMeta> metas;
-  metas.reserve(node_count);
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    NodeMeta m{};
-    m.t0 = r.f64();
-    m.t1 = r.f64();
-    m.depth = r.i32();
-    m.left = r.i32();
-    m.right = r.i32();
-    if ((m.left != -1 && (m.left <= static_cast<std::int32_t>(i) ||
-                          m.left >= static_cast<std::int32_t>(node_count))) ||
-        (m.right != -1 && (m.right <= static_cast<std::int32_t>(i) ||
-                           m.right >= static_cast<std::int32_t>(node_count))))
-      throw util::IoError("slog2: corrupt frame directory links");
-    m.offset = r.u64();
-    m.length = r.u64();
-    m.preview = read_preview(r);
-    metas.push_back(std::move(m));
+  detail::Directory d = read_directory(r, ro);
+  std::vector<std::unique_ptr<Frame>> frames(d.frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i] = std::make_unique<Frame>();
+    decode_payload(d, i, frames[i].get());
+    frames[i]->preview = std::move(d.frames[i].preview);
   }
-  const std::uint64_t blob_len = r.u64();
-  const std::uint8_t* blob = r.take(blob_len);
-  if (!r.at_end()) throw util::IoError("slog2: trailing bytes after payload blob");
-
-  // Rebuild the tree from the preorder directory.
-  std::vector<std::unique_ptr<Frame>> frames;
-  frames.reserve(node_count);
-  for (const NodeMeta& m : metas) {
-    auto f = std::make_unique<Frame>();
-    f->t0 = m.t0;
-    f->t1 = m.t1;
-    f->depth = m.depth;
-    f->preview = m.preview;
-    // Two comparisons, not `offset + length > blob_len`: hostile u64s can
-    // wrap the sum back under the limit.
-    if (m.length > blob_len || m.offset > blob_len - m.length)
-      throw util::IoError("slog2: frame payload extent out of range");
-    util::ByteReader pr(blob + m.offset, m.length);
-    read_payload(pr, f.get(), h.encoding);
-    if (!pr.at_end()) throw util::IoError("slog2: frame payload has trailing bytes");
-    frames.push_back(std::move(f));
+  // Link children (forward, one parent each: read_directory made them so).
+  for (std::size_t i = frames.size(); i-- > 0;) {
+    const detail::DirEntry& e = d.frames[i];
+    if (e.left != -1) frames[i]->left = std::move(frames[static_cast<std::size_t>(e.left)]);
+    if (e.right != -1)
+      frames[i]->right = std::move(frames[static_cast<std::size_t>(e.right)]);
   }
-  // Link children (indices always point forward; validated above).
-  for (std::size_t i = node_count; i-- > 0;) {
-    const NodeMeta& m = metas[i];
-    if (m.left != -1) frames[i]->left = std::move(frames[static_cast<std::size_t>(m.left)]);
-    if (m.right != -1)
-      frames[i]->right = std::move(frames[static_cast<std::size_t>(m.right)]);
-  }
-  if (node_count > 0) file.root = std::move(frames[0]);
+  File file = std::move(d.head);
+  if (!frames.empty()) file.root = std::move(frames[0]);
   return file;
 }
 
@@ -437,6 +419,43 @@ File read_file(const std::filesystem::path& path, const ReadOptions& ro) {
   // page cache; only the decoded drawables are materialized.
   const util::MappedFile map(path);
   return parse(map.data(), map.size(), ro);
+}
+
+void stream_text(const std::filesystem::path& path, bool dump_drawables,
+                 const std::function<void(const std::string&)>& sink,
+                 const ReadOptions& ro) {
+  // The directory and every frame decode read page-cache slices of one
+  // mapping; only one frame's drawables are held at a time.
+  const util::MappedFile map(path);
+  util::ByteReader r(map.data(), map.size());
+  const detail::Directory d = read_directory(r, ro);
+  // Validation pass: decode every payload, so a file parse() rejects throws
+  // before any output.
+  for (std::size_t i = 0; i < d.frames.size(); ++i) {
+    Frame f;
+    decode_payload(d, i, &f);
+  }
+  sink(to_text(d.head));
+  if (!dump_drawables || d.frames.empty()) return;
+  // Preorder left-first walk from the root (File::visit_window's order over
+  // parse()'s tree), printing each frame as a one-frame File.
+  const double a = d.head.t_min;
+  const double b = d.head.t_max;
+  std::vector<std::int32_t> stack = {0};
+  while (!stack.empty()) {
+    const auto i = static_cast<std::size_t>(stack.back());
+    stack.pop_back();
+    const detail::DirEntry& e = d.frames[i];
+    if (e.t1 < a || e.t0 > b) continue;
+    File one;
+    one.t_min = a;
+    one.t_max = b;
+    one.root = std::make_unique<Frame>();
+    decode_payload(d, i, one.root.get());
+    sink(detail::drawables_text(one));
+    if (e.right != -1) stack.push_back(e.right);
+    if (e.left != -1) stack.push_back(e.left);
+  }
 }
 
 // --- Navigator ---------------------------------------------------------------
@@ -463,49 +482,11 @@ Navigator::~Navigator() {
 }
 
 void Navigator::load(const std::uint8_t* data, std::size_t n, const ReadOptions& ro) {
-  data_ = data;
-  size_ = n;
+  util::ByteReader r(data, n);
+  dir_ = read_directory(r, ro);
   cache_ = &FrameCache::global();
-  util::ByteReader r(data_, size_);
-  const Header h = read_header(r, ro);
-  encoding_ = h.encoding;
-  nranks_ = h.nranks;
-  t_min_ = h.t_min;
-  t_max_ = h.t_max;
-  frame_size_ = h.frame_size;
-  categories_ = h.categories;
-  stats_ = h.stats;
-
-  const std::uint32_t node_count =
-      static_cast<std::uint32_t>(r.checked_count(r.u32(), 44));
-  directory_.reserve(node_count);
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    DirEntry e;
-    e.t0 = r.f64();
-    e.t1 = r.f64();
-    e.depth = r.i32();
-    e.left = r.i32();
-    e.right = r.i32();
-    e.offset = r.u64();
-    e.length = r.u64();
-    e.preview = read_preview(r);
-    directory_.push_back(std::move(e));
-  }
-  const std::uint64_t blob_len = r.u64();
-  blob_base_ = r.pos();
-  r.skip(blob_len);
-  if (!r.at_end()) throw util::IoError("slog2: trailing bytes after payload blob");
-  for (const auto& e : directory_)
-    if (e.length > blob_len || e.offset > blob_len - e.length)
-      throw util::IoError("slog2: frame payload extent out of range");
-  touched_ = std::make_unique<std::atomic<char>[]>(directory_.size());
-  for (std::size_t i = 0; i < directory_.size(); ++i) touched_[i] = 0;
-}
-
-const Category* Navigator::category(std::int32_t id) const {
-  for (const auto& c : categories_)
-    if (c.id == id) return &c;
-  return nullptr;
+  touched_ = std::make_unique<std::atomic<char>[]>(dir_.frames.size());
+  for (std::size_t i = 0; i < dir_.frames.size(); ++i) touched_[i] = 0;
 }
 
 std::size_t Navigator::frames_decoded() const {
@@ -513,17 +494,12 @@ std::size_t Navigator::frames_decoded() const {
 }
 
 std::shared_ptr<const Frame> Navigator::frame_ptr(std::size_t index) {
-  const DirEntry& e = directory_.at(index);
   auto frame = cache_->get(
-      owner_, index, static_cast<std::size_t>(e.length) + sizeof(Frame),
+      owner_, index,
+      static_cast<std::size_t>(dir_.frames.at(index).length) + sizeof(Frame),
       [&]() -> std::shared_ptr<const Frame> {
         auto f = std::make_shared<Frame>();
-        f->t0 = e.t0;
-        f->t1 = e.t1;
-        f->depth = e.depth;
-        util::ByteReader pr(data_ + blob_base_ + e.offset,
-                            static_cast<std::size_t>(e.length));
-        read_payload(pr, f.get(), encoding_);
+        decode_payload(dir_, index, f.get());
         return f;
       });
   if (touched_[index].exchange(1, std::memory_order_relaxed) == 0)
@@ -533,12 +509,12 @@ std::shared_ptr<const Frame> Navigator::frame_ptr(std::size_t index) {
 
 std::vector<std::uint32_t> Navigator::window_frames(double a, double b) const {
   std::vector<std::uint32_t> out;
-  if (directory_.empty()) return out;
+  if (dir_.frames.empty()) return out;
   std::vector<std::int32_t> stack = {0};
   while (!stack.empty()) {
     const auto i = static_cast<std::size_t>(stack.back());
     stack.pop_back();
-    const DirEntry& e = directory_[i];
+    const detail::DirEntry& e = dir_.frames[i];
     if (e.t1 < a || e.t0 > b) continue;
     out.push_back(static_cast<std::uint32_t>(i));
     if (e.left != -1) stack.push_back(e.left);
@@ -559,280 +535,36 @@ void Navigator::visit_window(
   std::vector<std::shared_ptr<const Frame>> pinned(frames.size());
   util::parallel_for(frames.size(), util::resolve_threads(threads),
                      [&](std::size_t k) { pinned[k] = frame_ptr(frames[k]); });
-  for (const auto& fp : pinned) {
-    const Frame& f = *fp;
-    if (on_state)
-      for (const auto& s : f.states)
-        if (s.end_time >= a && s.start_time <= b) on_state(s);
-    if (on_event)
-      for (const auto& ev : f.events)
-        if (ev.time >= a && ev.time <= b) on_event(ev);
-    if (on_arrow)
-      for (const auto& ar : f.arrows) {
-        const double lo = std::min(ar.start_time, ar.end_time);
-        const double hi = std::max(ar.start_time, ar.end_time);
-        if (hi >= a && lo <= b) on_arrow(ar);
-      }
-  }
+  for (const auto& fp : pinned)
+    detail::visit_frame(*fp, a, b, on_state, on_event, on_arrow);
 }
 
 std::uint64_t Navigator::window_payload_bytes(double a, double b) const {
-  if (directory_.empty()) return 0;
   std::uint64_t total = 0;
-  std::vector<std::int32_t> stack = {0};
-  while (!stack.empty()) {
-    const auto i = static_cast<std::size_t>(stack.back());
-    stack.pop_back();
-    const DirEntry& e = directory_[i];
-    if (e.t1 < a || e.t0 > b) continue;
-    total += e.length;
-    if (e.left != -1) stack.push_back(e.left);
-    if (e.right != -1) stack.push_back(e.right);
-  }
+  for (const std::uint32_t i : window_frames(a, b)) total += dir_.frames[i].length;
   return total;
 }
 
-namespace {
-
-struct StreamMeta {
-  double t0 = 0.0, t1 = 0.0;
-  std::int32_t left = -1, right = -1;
-  std::uint64_t offset = 0, length = 0;
-};
-
-// Validation pass — field for field the checks parse() performs, with
-// payloads left for the caller to decode one frame at a time. Templated
-// over the reader so the mmap and streaming backends share one set of
-// verdicts (the fuzz suite pins them against each other).
-template <typename Reader>
-void collect_stream_meta(Reader& r, const ReadOptions& ro, Header* h,
-                         std::vector<StreamMeta>* metas,
-                         std::uint64_t* blob_len, std::size_t* blob_base) {
-  *h = read_header(r, ro);
-  const std::uint32_t node_count =
-      static_cast<std::uint32_t>(r.checked_count(r.u32(), 44));
-  metas->reserve(node_count);
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    StreamMeta m;
-    m.t0 = r.f64();
-    m.t1 = r.f64();
-    (void)r.i32();  // depth: directory metadata, not printed
-    m.left = r.i32();
-    m.right = r.i32();
-    if ((m.left != -1 && (m.left <= static_cast<std::int32_t>(i) ||
-                          m.left >= static_cast<std::int32_t>(node_count))) ||
-        (m.right != -1 && (m.right <= static_cast<std::int32_t>(i) ||
-                           m.right >= static_cast<std::int32_t>(node_count))))
-      throw util::IoError("slog2: corrupt frame directory links");
-    m.offset = r.u64();
-    m.length = r.u64();
-    (void)read_preview(r);
-    metas->push_back(m);
-  }
-  *blob_len = r.u64();
-  *blob_base = r.pos();
-  r.skip(*blob_len);
-  if (!r.at_end())
-    throw util::IoError("slog2: trailing bytes after payload blob");
-}
-
-void print_stream_text(
-    const Header& h, const std::vector<StreamMeta>& metas, bool dump_drawables,
-    const std::function<void(const std::string&)>& sink,
-    const std::function<Frame(const StreamMeta&)>& decode_frame);
-
-}  // namespace
-
-void stream_text(const std::filesystem::path& path, bool dump_drawables,
-                 const std::function<void(const std::string&)>& sink,
-                 const ReadOptions& ro) {
-  std::vector<StreamMeta> metas;
-  Header h;
-  std::size_t blob_base = 0;
-  std::uint64_t blob_len = 0;
-
-  if (auto mapped = util::MappedFile::try_map(path)) {
-    // mmap backend: the directory pass and every frame decode read page-
-    // cache slices of the mapping; nothing is copied but the drawables.
-    util::MmapByteReader r(std::move(*mapped));
-    collect_stream_meta(r, ro, &h, &metas, &blob_len, &blob_base);
-    const std::uint8_t* blob = r.mapping().data() + blob_base;
-    auto decode_frame = [&, blob](const StreamMeta& m) {
-      if (m.length > blob_len || m.offset > blob_len - m.length)
-        throw util::IoError("slog2: frame payload extent out of range");
-      Frame f;
-      util::ByteReader pr(blob + m.offset, static_cast<std::size_t>(m.length));
-      read_payload(pr, &f, h.encoding);
-      if (!pr.at_end())
-        throw util::IoError("slog2: frame payload has trailing bytes");
-      return f;
-    };
-    for (const StreamMeta& m : metas) (void)decode_frame(m);
-    print_stream_text(h, metas, dump_drawables, sink, decode_frame);
-    return;
-  }
-
-  // Streaming backend (mmap unavailable): fixed-size read window plus one
-  // frame payload at a time — RSS stays O(window + directory + frame).
-  {
-    util::FileByteReader r(path);
-    collect_stream_meta(r, ro, &h, &metas, &blob_len, &blob_base);
-  }
-  std::ifstream blob_in(path, std::ios::binary);
-  if (!blob_in) throw util::IoError("cannot open " + path.string());
-  auto decode_frame = [&](const StreamMeta& m) {
-    if (m.length > blob_len || m.offset > blob_len - m.length)
-      throw util::IoError("slog2: frame payload extent out of range");
-    const auto bytes = util::read_at(blob_in, blob_base + m.offset,
-                                     static_cast<std::size_t>(m.length),
-                                     "slog2: frame payload");
-    Frame f;
-    util::ByteReader pr(bytes);
-    read_payload(pr, &f, h.encoding);
-    if (!pr.at_end())
-      throw util::IoError("slog2: frame payload has trailing bytes");
-    return f;
-  };
-  for (const StreamMeta& m : metas) (void)decode_frame(m);
-  print_stream_text(h, metas, dump_drawables, sink, decode_frame);
-}
-
-void validate_file(const std::filesystem::path& path, const ReadOptions& ro,
-                   ReadBackend backend) {
-  std::vector<StreamMeta> metas;
-  Header h;
-  std::size_t blob_base = 0;
-  std::uint64_t blob_len = 0;
-
-  if (backend == ReadBackend::kMmap) {
-    util::MmapByteReader r(path);
-    collect_stream_meta(r, ro, &h, &metas, &blob_len, &blob_base);
-    const std::uint8_t* blob = r.mapping().data() + blob_base;
-    for (const StreamMeta& m : metas) {
-      if (m.length > blob_len || m.offset > blob_len - m.length)
-        throw util::IoError("slog2: frame payload extent out of range");
-      Frame f;
-      util::ByteReader pr(blob + m.offset, static_cast<std::size_t>(m.length));
-      read_payload(pr, &f, h.encoding);
-      if (!pr.at_end())
-        throw util::IoError("slog2: frame payload has trailing bytes");
-    }
-    return;
-  }
-
-  util::FileByteReader r(path);
-  collect_stream_meta(r, ro, &h, &metas, &blob_len, &blob_base);
-  std::ifstream blob_in(path, std::ios::binary);
-  if (!blob_in) throw util::IoError("cannot open " + path.string());
-  for (const StreamMeta& m : metas) {
-    if (m.length > blob_len || m.offset > blob_len - m.length)
-      throw util::IoError("slog2: frame payload extent out of range");
-    const auto bytes = util::read_at(blob_in, blob_base + m.offset,
-                                     static_cast<std::size_t>(m.length),
-                                     "slog2: frame payload");
-    Frame f;
-    util::ByteReader pr(bytes);
-    read_payload(pr, &f, h.encoding);
-    if (!pr.at_end())
-      throw util::IoError("slog2: frame payload has trailing bytes");
-  }
-}
-
-namespace {
-
-void print_stream_text(
-    const Header& h, const std::vector<StreamMeta>& metas, bool dump_drawables,
-    const std::function<void(const std::string&)>& sink,
-    const std::function<Frame(const StreamMeta&)>& decode_frame) {
-  // Printing pass: mirrors to_text() line for line.
-  sink(util::strprintf(
-      "SLOG-2  ranks=%d  span=[%.9f, %.9f]  frame_size=%llu\n", h.nranks, h.t_min,
-      h.t_max, static_cast<unsigned long long>(h.frame_size)));
-  sink(util::strprintf(
-      "  drawables: states=%llu events=%llu arrows=%llu\n",
-      static_cast<unsigned long long>(h.stats.total_states),
-      static_cast<unsigned long long>(h.stats.total_events),
-      static_cast<unsigned long long>(h.stats.total_arrows)));
-  sink(util::strprintf(
-      "  frames=%llu leaves=%llu depth=%d\n",
-      static_cast<unsigned long long>(h.stats.frames),
-      static_cast<unsigned long long>(h.stats.leaf_frames), h.stats.tree_depth));
-  sink(util::strprintf(
-      "  warnings: unmatched_sends=%llu unmatched_recvs=%llu "
-      "unmatched_state_ends=%llu unclosed_states=%llu equal_drawables=%llu "
-      "unknown_event_ids=%llu\n",
-      static_cast<unsigned long long>(h.stats.unmatched_sends),
-      static_cast<unsigned long long>(h.stats.unmatched_recvs),
-      static_cast<unsigned long long>(h.stats.unmatched_state_ends),
-      static_cast<unsigned long long>(h.stats.unclosed_states),
-      static_cast<unsigned long long>(h.stats.equal_drawables),
-      static_cast<unsigned long long>(h.stats.unknown_event_ids)));
-  sink("  categories:\n");
-  for (const auto& c : h.categories) {
-    const char* kind = c.kind == CategoryKind::kState   ? "state"
-                       : c.kind == CategoryKind::kEvent ? "event"
-                                                        : "arrow";
-    sink(util::strprintf("    [%d] %-6s %-24s %s\n", c.id, kind, c.name.c_str(),
-                         c.color.c_str()));
-  }
-  if (dump_drawables && !metas.empty()) {
-    // Preorder left-first walk from the root — the traversal order of
-    // File::visit_window over the reconstructed tree.
-    const double a = h.t_min;
-    const double b = h.t_max;
-    std::vector<std::int32_t> stack = {0};
-    while (!stack.empty()) {
-      const auto i = static_cast<std::size_t>(stack.back());
-      stack.pop_back();
-      const StreamMeta& m = metas[i];
-      if (m.t1 < a || m.t0 > b) continue;
-      const Frame f = decode_frame(m);
-      for (const auto& s : f.states)
-        if (s.end_time >= a && s.start_time <= b)
-          sink(util::strprintf(
-              "  state cat=%d rank=%d [%.9f, %.9f] depth=%d \"%s\"\n",
-              s.category_id, s.rank, s.start_time, s.end_time, s.depth,
-              s.start_text.c_str()));
-      for (const auto& e : f.events)
-        if (e.time >= a && e.time <= b)
-          sink(util::strprintf("  event cat=%d rank=%d t=%.9f \"%s\"\n",
-                               e.category_id, e.rank, e.time, e.text.c_str()));
-      for (const auto& ar : f.arrows) {
-        const double lo = std::min(ar.start_time, ar.end_time);
-        const double hi = std::max(ar.start_time, ar.end_time);
-        if (hi >= a && lo <= b)
-          sink(util::strprintf("  arrow %d->%d [%.9f, %.9f] tag=%d size=%u\n",
-                               ar.src_rank, ar.dst_rank, ar.start_time,
-                               ar.end_time, ar.tag, ar.size));
-      }
-      if (m.right != -1) stack.push_back(m.right);
-      if (m.left != -1) stack.push_back(m.left);
-    }
-  }
-}
-
-}  // namespace
-
 Navigator::PreviewView Navigator::preview_covering(double a, double b) {
   PreviewView out;
-  if (directory_.empty()) return out;
+  if (dir_.frames.empty()) return out;
   // Descend while a single child still covers the window.
   std::size_t i = 0;
   for (;;) {
-    const DirEntry& e = directory_[i];
+    const detail::DirEntry& e = dir_.frames[i];
     std::int32_t next = -1;
     if (e.left != -1) {
-      const DirEntry& l = directory_[static_cast<std::size_t>(e.left)];
+      const detail::DirEntry& l = dir_.frames[static_cast<std::size_t>(e.left)];
       if (l.t0 <= a && b <= l.t1) next = e.left;
     }
     if (next == -1 && e.right != -1) {
-      const DirEntry& rr = directory_[static_cast<std::size_t>(e.right)];
+      const detail::DirEntry& rr = dir_.frames[static_cast<std::size_t>(e.right)];
       if (rr.t0 <= a && b <= rr.t1) next = e.right;
     }
     if (next == -1) break;
     i = static_cast<std::size_t>(next);
   }
-  const DirEntry& e = directory_[i];
+  const detail::DirEntry& e = dir_.frames[i];
   out.t0 = e.t0;
   out.t1 = e.t1;
   out.preview = &e.preview;

@@ -208,15 +208,33 @@ void write_file(const std::filesystem::path& path, const File& file);
 /// copy) with a transparent buffered fallback; verdicts are identical.
 File read_file(const std::filesystem::path& path, const ReadOptions& ro = {});
 
-/// Reader backend selector for validate_file — the format-fuzz suite runs
-/// every corrupted fixture through both and pins that the verdicts match.
-enum class ReadBackend { kMmap, kStream };
+namespace detail {
 
-/// Validate an on-disk SLOG-2 file end to end (header, directory, every
-/// frame payload) with exactly parse()'s accept/reject behaviour, through
-/// the chosen reader backend. Throws util::IoError on the first defect.
-void validate_file(const std::filesystem::path& path, const ReadOptions& ro = {},
-                   ReadBackend backend = ReadBackend::kMmap);
+/// One frame-directory entry: the node's interval, its tree links
+/// (directory indices, -1 = none), its payload extent in the blob, and its
+/// preview (small; kept eagerly for zoomed-out rendering).
+struct DirEntry {
+  double t0 = 0.0;
+  double t1 = 0.0;
+  std::int32_t depth = 0;
+  std::int32_t left = -1;
+  std::int32_t right = -1;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  Preview preview;
+};
+
+/// A checked header and frame directory, as every reader sees it: the
+/// header fields in a rootless File, the preorder directory ([0] is the
+/// root), and the payload blob it indexes, borrowed from the bytes read.
+struct Directory {
+  File head;
+  std::vector<DirEntry> frames;
+  const std::uint8_t* blob = nullptr;
+  std::uint64_t blob_len = 0;
+};
+
+}  // namespace detail
 
 /// Lazy reader: parses the header and frame directory eagerly but decodes
 /// frame payloads only when a query touches them. This is how Jumpshot
@@ -236,13 +254,17 @@ public:
   Navigator(const Navigator&) = delete;
   Navigator& operator=(const Navigator&) = delete;
 
-  [[nodiscard]] FrameEncoding encoding() const { return encoding_; }
-  [[nodiscard]] std::int32_t nranks() const { return nranks_; }
-  [[nodiscard]] double t_min() const { return t_min_; }
-  [[nodiscard]] double t_max() const { return t_max_; }
-  [[nodiscard]] const std::vector<Category>& categories() const { return categories_; }
-  [[nodiscard]] const ConvertStats& stats() const { return stats_; }
-  [[nodiscard]] const Category* category(std::int32_t id) const;
+  [[nodiscard]] FrameEncoding encoding() const { return dir_.head.encoding; }
+  [[nodiscard]] std::int32_t nranks() const { return dir_.head.nranks; }
+  [[nodiscard]] double t_min() const { return dir_.head.t_min; }
+  [[nodiscard]] double t_max() const { return dir_.head.t_max; }
+  [[nodiscard]] const std::vector<Category>& categories() const {
+    return dir_.head.categories;
+  }
+  [[nodiscard]] const ConvertStats& stats() const { return dir_.head.stats; }
+  [[nodiscard]] const Category* category(std::int32_t id) const {
+    return dir_.head.category(id);
+  }
 
   /// Visit drawables intersecting [a, b], decoding only the frames whose
   /// interval intersects the window. The touched frames are decoded on
@@ -264,7 +286,7 @@ public:
   };
   [[nodiscard]] PreviewView preview_covering(double a, double b);
 
-  [[nodiscard]] std::size_t total_frames() const { return directory_.size(); }
+  [[nodiscard]] std::size_t total_frames() const { return dir_.frames.size(); }
   /// Frames decoded so far (tests assert laziness with this).
   [[nodiscard]] std::size_t frames_decoded() const;
 
@@ -275,17 +297,6 @@ public:
   [[nodiscard]] std::uint64_t window_payload_bytes(double a, double b) const;
 
 private:
-  struct DirEntry {
-    double t0 = 0.0;
-    double t1 = 0.0;
-    std::int32_t depth = 0;
-    std::int32_t left = -1;   // directory index or -1
-    std::int32_t right = -1;
-    std::uint64_t offset = 0;  // into the payload blob
-    std::uint64_t length = 0;
-    Preview preview;  // small; kept eagerly for zoomed-out rendering
-  };
-
   void load(const std::uint8_t* data, std::size_t n, const ReadOptions& ro);
 
   /// Directory indices of every frame intersecting [a, b], in exactly the
@@ -298,17 +309,7 @@ private:
 
   util::MappedFile map_;              // path ctor: zero-copy view of the file
   std::vector<std::uint8_t> bytes_;   // bytes ctor: owned buffer
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t blob_base_ = 0;
-  FrameEncoding encoding_ = FrameEncoding::kV1;
-  std::int32_t nranks_ = 0;
-  double t_min_ = 0.0;
-  double t_max_ = 0.0;
-  std::uint64_t frame_size_ = 0;
-  std::vector<Category> categories_;
-  ConvertStats stats_;
-  std::vector<DirEntry> directory_;  // preorder; [0] is the root (if any)
+  detail::Directory dir_;             // checked at load; blob borrows the bytes
   FrameCache* cache_ = nullptr;      // shared decode cache (never null after load)
   std::uint64_t owner_ = 0;          // our namespace within the cache
   bool private_owner_ = false;       // bytes ctor: evict our frames on dtor
@@ -319,14 +320,13 @@ private:
 /// Human-readable structural summary (the slog2print tool).
 std::string to_text(const File& file, bool dump_drawables = false);
 
-/// Stream the to_text() dump of an on-disk SLOG-2 file through `sink`,
-/// reading through an mmap of the file when available (page-cache slices,
-/// one frame decoded at a time) and falling back to a fixed-size read
-/// window otherwise — either way RSS stays O(window + directory + largest
-/// frame) instead of O(trace). A full validation pass runs first with
-/// exactly the accept/reject verdict of parse() (every payload is decoded
-/// and bounds-checked), so a corrupt file throws util::IoError before any
-/// output is emitted. Output is byte-identical to
+/// Stream the to_text() dump of an on-disk SLOG-2 file through `sink`. The
+/// file is mapped (util::MappedFile, which reads it into a buffer where mmap
+/// is unavailable) and decoded through parse()'s own directory reader and
+/// payload decode, one frame at a time, so only the directory and one
+/// frame's drawables are ever materialized. A validation pass decodes every
+/// payload first, so a file parse() rejects throws the same util::IoError
+/// before any output is emitted. Output is byte-identical to
 /// to_text(read_file(path), dump_drawables).
 void stream_text(const std::filesystem::path& path, bool dump_drawables,
                  const std::function<void(const std::string&)>& sink,

@@ -11,6 +11,10 @@ namespace util {
 namespace fs = std::filesystem;
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {
+  // A directory opens as a stream on Linux and "sizes" to garbage.
+  std::error_code ec;
+  if (fs::is_directory(path, ec))
+    throw IoError("cannot read " + path.string() + ": is a directory");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open for read: " + path.string());
   std::vector<std::uint8_t> out;

@@ -1,7 +1,5 @@
 #include "util/mmapio.hpp"
 
-#include <utility>
-
 #include "util/fs.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -16,45 +14,40 @@
 
 namespace util {
 
-std::optional<MappedFile> MappedFile::try_map(
-    const std::filesystem::path& path) {
+bool MappedFile::try_map(const std::filesystem::path& path) {
 #if PILOT_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return std::nullopt;
+  if (fd < 0) return false;
   struct stat st{};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
     ::close(fd);
-    return std::nullopt;
+    return false;
   }
   const auto len = static_cast<std::size_t>(st.st_size);
   if (len == 0) {
     // mmap(0) is EINVAL; an empty regular file is simply an empty view.
     ::close(fd);
-    return MappedFile{};
+    return true;
   }
   void* p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
-  if (p == MAP_FAILED) return std::nullopt;
+  if (p == MAP_FAILED) return false;
 #if defined(MADV_WILLNEED)
   ::madvise(p, len, MADV_WILLNEED);
 #endif
-  MappedFile m;
-  m.map_ = p;
-  m.map_len_ = len;
-  m.data_ = static_cast<const std::uint8_t*>(p);
-  m.size_ = len;
-  return m;
+  map_ = p;
+  map_len_ = len;
+  data_ = static_cast<const std::uint8_t*>(p);
+  size_ = len;
+  return true;
 #else
   (void)path;
-  return std::nullopt;
+  return false;
 #endif
 }
 
 MappedFile::MappedFile(const std::filesystem::path& path) {
-  if (auto m = try_map(path)) {
-    *this = std::move(*m);
-    return;
-  }
+  if (try_map(path)) return;
   // Portable fallback (also taken for FIFOs/devices): one read into an
   // owned buffer. Same bytes, same lifetime guarantees, no zero-copy.
   fallback_ = util::read_file(path);
@@ -62,46 +55,10 @@ MappedFile::MappedFile(const std::filesystem::path& path) {
   size_ = fallback_.size();
 }
 
-MappedFile::~MappedFile() { reset(); }
-
-void MappedFile::reset() noexcept {
+MappedFile::~MappedFile() {
 #if PILOT_HAVE_MMAP
   if (map_ != nullptr) ::munmap(map_, map_len_);
 #endif
-  map_ = nullptr;
-  map_len_ = 0;
-  data_ = nullptr;
-  size_ = 0;
-  fallback_.clear();
-}
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      map_(other.map_),
-      map_len_(other.map_len_),
-      fallback_(std::move(other.fallback_)) {
-  if (map_ == nullptr && size_ != 0) data_ = fallback_.data();
-  other.map_ = nullptr;
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.map_len_ = 0;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this == &other) return *this;
-  reset();
-  data_ = other.data_;
-  size_ = other.size_;
-  map_ = other.map_;
-  map_len_ = other.map_len_;
-  fallback_ = std::move(other.fallback_);
-  if (map_ == nullptr && size_ != 0) data_ = fallback_.data();
-  other.map_ = nullptr;
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.map_len_ = 0;
-  return *this;
 }
 
 }  // namespace util

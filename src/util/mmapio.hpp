@@ -1,24 +1,14 @@
-// Memory-mapped binary file reading: the same decoding API as
-// util::ByteReader / util::FileByteReader, but backed by an mmap(2) of the
-// whole file, so payload slices are borrowed views into the page cache
-// instead of copies. On platforms (or filesystems) where mmap fails the
-// reader silently falls back to one read into an owned buffer — callers see
-// the identical API and identical error verdicts either way.
-//
-// Error behaviour matches ByteReader exactly, modulo the reader name in the
-// message: any read past the end of the mapping throws IoError at the same
-// offset and with the same want/have figures a whole-file parse would
-// produce. The format-fuzz suite pins this reader-for-reader.
+// Memory-mapped whole-file reading: MappedFile maps a file read-only, so
+// decoders (util::ByteReader over data()/size()) read borrowed slices of
+// the page cache instead of a copy. Where mmap is unavailable (platform,
+// FIFO, device) it reads the file into an owned buffer instead; callers see
+// the same bytes either way. The SLOG-2 readers and both trace printers
+// open their files this way.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
-#include <optional>
-#include <string>
 #include <vector>
-
-#include "util/error.hpp"
 
 namespace util {
 
@@ -30,114 +20,22 @@ public:
   explicit MappedFile(const std::filesystem::path& path);
   ~MappedFile();
 
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
   [[nodiscard]] const std::uint8_t* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }
-  /// True when the bytes live in an actual mmap (false: fallback buffer).
-  [[nodiscard]] bool is_mapped() const { return map_ != nullptr; }
-
-  /// Attempt a real mapping only: disengaged when mmap is unavailable for
-  /// this platform or file, without reading anything. Lets callers that
-  /// guarantee O(window) RSS keep a streaming fallback instead of this
-  /// class's read-the-file fallback. (An empty regular file maps as an
-  /// engaged empty view.)
-  static std::optional<MappedFile> try_map(const std::filesystem::path& path);
 
 private:
-  void reset() noexcept;
+  /// Map `path` (false, nothing read, when mmap is unavailable for this
+  /// platform or file; an empty regular file is an empty view).
+  bool try_map(const std::filesystem::path& path);
 
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
   void* map_ = nullptr;  // munmap() target when mapped
   std::size_t map_len_ = 0;
   std::vector<std::uint8_t> fallback_;
-};
-
-/// Sequential decoder over a MappedFile, mirroring FileByteReader's API so
-/// the templated record readers work unchanged over either. A truncated or
-/// shrunk file fails with the same named IoError (same offsets, same
-/// want/have) the streaming reader produces.
-class MmapByteReader {
-public:
-  explicit MmapByteReader(const std::filesystem::path& path)
-      : map_(path) {}
-  /// Adopt an existing mapping (e.g. from MappedFile::try_map).
-  explicit MmapByteReader(MappedFile&& map) : map_(std::move(map)) {}
-
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() { return get_le<std::uint16_t>(); }
-  std::uint32_t u32() { return get_le<std::uint32_t>(); }
-  std::uint64_t u64() { return get_le<std::uint64_t>(); }
-  std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
-  std::int16_t i16() { return static_cast<std::int16_t>(u16()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-  double f64() {
-    std::uint64_t bits = u64();
-    double v;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-
-  std::string str() {
-    std::uint32_t len = u32();
-    const std::uint8_t* p = take(len);
-    return std::string(reinterpret_cast<const char*>(p), len);
-  }
-
-  /// Borrow `n` contiguous bytes from the mapping, advancing the cursor.
-  /// Unlike FileByteReader::take the pointer stays valid for the lifetime
-  /// of the reader (the mapping never moves).
-  const std::uint8_t* take(std::size_t n) {
-    if (n > map_.size() - pos_)
-      throw IoError("MmapByteReader: truncated input (want " +
-                    std::to_string(n) + " bytes at offset " +
-                    std::to_string(pos_) + ", have " +
-                    std::to_string(map_.size() - pos_) + ")");
-    const std::uint8_t* p = map_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  void skip(std::size_t n) { take(n); }
-
-  /// Validate an untrusted element count against the bytes left in the
-  /// mapping, mirroring ByteReader::checked_count.
-  [[nodiscard]] std::size_t checked_count(std::uint64_t n,
-                                          std::size_t min_bytes = 1) const {
-    const std::size_t floor = min_bytes == 0 ? 1 : min_bytes;
-    if (n > remaining() / floor)
-      throw IoError("MmapByteReader: element count " + std::to_string(n) +
-                    " exceeds the " + std::to_string(remaining()) +
-                    " bytes of remaining input");
-    return static_cast<std::size_t>(n);
-  }
-
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] std::size_t file_size() const { return map_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return map_.size() - pos_; }
-  [[nodiscard]] bool at_end() const { return pos_ == map_.size(); }
-
-  [[nodiscard]] const MappedFile& mapping() const { return map_; }
-
-private:
-  template <typename T>
-  T get_le() {
-    const std::uint8_t* p = take(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      v = static_cast<T>(v | (static_cast<T>(p[i]) << (8 * i)));
-    return v;
-  }
-
-  MappedFile map_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace util

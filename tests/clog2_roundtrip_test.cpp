@@ -118,6 +118,32 @@ TEST(Clog2, CorruptRecordKindRejected) {
   EXPECT_THROW(clog2::parse(bytes), util::IoError);
 }
 
+// The one place StreamReader's language is narrower than parse()'s: a
+// string over kMaxRecordBytes is a safety bound on outside input (a hostile
+// length must not make an ingest buffer wait forever), so the stream
+// rejects it by name while the whole-file parser accepts it.
+TEST(Clog2, StreamReaderBoundsStringsParseAccepts) {
+  clog2::File f;
+  f.nranks = 1;
+  f.records.emplace_back(clog2::EventRec{
+      0.5, 0, 7, std::string(clog2::StreamReader::kMaxRecordBytes + 1, 'x')});
+  const auto bytes = clog2::serialize(f);
+  EXPECT_EQ(std::get<clog2::EventRec>(clog2::parse(bytes).records.at(0)).text.size(),
+            clog2::StreamReader::kMaxRecordBytes + 1);
+
+  clog2::StreamReader reader;
+  reader.feed(bytes.data(), bytes.size());
+  clog2::Record rec;
+  try {
+    reader.next(&rec);
+    FAIL() << "StreamReader accepted an over-bound string";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the 16777216-byte record bound"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Clog2, CountHelper) {
   const clog2::File f = sample_file();
   EXPECT_EQ(f.count<clog2::EventRec>(), 2u);

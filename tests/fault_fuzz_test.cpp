@@ -4,7 +4,9 @@
 //
 //   * library level: parse() of every truncation length and of single-bit
 //     flips at every byte either succeeds or throws util::Error — never a
-//     crash, never UB (the sanitize presets run this suite too);
+//     crash, never UB (the sanitize presets run this suite too); the lazy
+//     Navigator and the printers' stream_text readers track parse()'s
+//     verdict on the same variants;
 //   * tool level: pilot-clog2print / pilot-slog2print / pilot-replayprint
 //     exit nonzero with a diagnostic exactly when the library rejects the
 //     bytes, and never die on a signal;
@@ -15,9 +17,14 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,20 +87,18 @@ bool parses(const ParseFn& parse, const std::vector<std::uint8_t>& bytes) {
   // std::exception, a sanitizer report) escapes and fails the test.
 }
 
-template <typename ParseFn>
-void fuzz_format(const std::string& name, const ParseFn& parse) {
-  const auto bytes = load(name);
-  ASSERT_FALSE(bytes.empty());
-  EXPECT_TRUE(parses(parse, bytes)) << name << " fixture does not parse";
-
-  // Every truncation length, including the empty file.
+/// Run `check` on every corrupted variant of `bytes`: each truncation
+/// length (including the empty file), single-bit and whole-byte flips at
+/// every position, and trailing garbage.
+template <typename CheckFn>
+void for_each_variant(const std::string& name,
+                      const std::vector<std::uint8_t>& bytes,
+                      const CheckFn& check) {
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     SCOPED_TRACE(name + " truncated to " + std::to_string(n));
-    const std::vector<std::uint8_t> cut(bytes.begin(),
-                                        bytes.begin() + static_cast<long>(n));
-    parses(parse, cut);
+    check(std::vector<std::uint8_t>(bytes.begin(),
+                                    bytes.begin() + static_cast<long>(n)));
   }
-  // Single-bit and whole-byte flips at every position.
   for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80},
                                   std::uint8_t{0xff}}) {
     for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -101,13 +106,23 @@ void fuzz_format(const std::string& name, const ParseFn& parse) {
                    std::to_string(i));
       auto mutated = bytes;
       mutated[i] ^= mask;
-      parses(parse, mutated);
+      check(mutated);
     }
   }
-  // Trailing garbage.
+  SCOPED_TRACE(name + " with trailing garbage");
   auto padded = bytes;
   padded.insert(padded.end(), {0xde, 0xad, 0xbe, 0xef});
-  parses(parse, padded);
+  check(padded);
+}
+
+template <typename ParseFn>
+void fuzz_format(const std::string& name, const ParseFn& parse) {
+  const auto bytes = load(name);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_TRUE(parses(parse, bytes)) << name << " fixture does not parse";
+  for_each_variant(name, bytes, [&](const std::vector<std::uint8_t>& v) {
+    parses(parse, v);
+  });
 }
 
 TEST(FuzzParsers, Clog2SurvivesTruncationAndBitFlips) {
@@ -133,74 +148,144 @@ TEST(FuzzParsers, Slog2V2SurvivesTruncationAndBitFlips) {
               [](const std::vector<std::uint8_t>& b) { slog2::parse(b); });
 }
 
-/// validate_file verdict for one backend: empty string = accepted,
-/// otherwise the error text with the reader names normalized away — the
-/// mmap and streaming readers phrase truncation identically except for
-/// their own class name.
-std::string backend_verdict(const std::filesystem::path& path,
-                            slog2::ReadBackend backend) {
-  try {
-    slog2::validate_file(path, {}, backend);
-    return "";
-  } catch (const util::Error& e) {
-    std::string msg = e.what();
-    for (const char* name :
-         {"MmapByteReader", "FileByteReader", "ByteReader"}) {
-      for (std::size_t pos; (pos = msg.find(name)) != std::string::npos;)
-        msg.replace(pos, std::string(name).size(), "Reader");
-    }
-    return msg;
-  }
+/// Every drawable of a full-span visit, one exact line each, sorted: the
+/// Navigator and File::visit_window walk the same tree in different orders.
+template <typename Visitable>
+std::vector<std::string> full_visit(Visitable& v) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::string> out;
+  const auto line = [&](const char* fmt, auto... args) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf, fmt, args...);
+    out.emplace_back(buf);
+  };
+  const auto on_state = [&](const slog2::StateDrawable& s) {
+    line("s %d %d %a %a %d %zu %zu", s.category_id, s.rank, s.start_time,
+         s.end_time, s.depth, std::hash<std::string>{}(s.start_text),
+         std::hash<std::string>{}(s.end_text));
+  };
+  const auto on_event = [&](const slog2::EventDrawable& e) {
+    line("e %d %d %a %zu", e.category_id, e.rank, e.time,
+         std::hash<std::string>{}(e.text));
+  };
+  const auto on_arrow = [&](const slog2::ArrowDrawable& a) {
+    line("a %d %d %a %a %d %u", a.src_rank, a.dst_rank, a.start_time,
+         a.end_time, a.tag, a.size);
+  };
+  v.visit_window(-inf, inf, on_state, on_event, on_arrow);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-/// The mmap-backed reader must agree with the streaming reader on every
-/// corrupted file: same accept/reject decision *and* the same diagnostic
-/// (modulo the reader's own name). This pins the zero-copy path to the
-/// incremental one across truncations, bit flips, and trailing growth.
-void fuzz_backend_parity(const std::string& name) {
+/// The lazy Navigator under corruption: each variant either throws
+/// util::Error (at load or on the visit) or visits (-inf, +inf); and
+/// whenever parse() accepts a variant, the Navigator accepts it too and
+/// visits exactly parse()'s drawables.
+void fuzz_navigator(const std::string& name) {
   const auto bytes = load(name);
   ASSERT_FALSE(bytes.empty());
-  const auto dir = std::filesystem::path(::testing::TempDir());
-  const auto path = dir / ("backend_parity_" + name);
+  std::size_t accepted = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& variant) {
+    std::optional<std::vector<std::string>> want;
+    try {
+      const slog2::File file = slog2::parse(variant);
+      want = full_visit(file);
+    } catch (const util::Error&) {
+    }
+    try {
+      slog2::Navigator nav(variant);
+      const std::vector<std::string> got = full_visit(nav);
+      if (want) {
+        ++accepted;
+        EXPECT_EQ(got, *want);
+      }
+    } catch (const util::Error& e) {
+      EXPECT_FALSE(want) << "Navigator rejects what parse() accepts: "
+                         << e.what();
+    }
+  };
+  check(bytes);
+  EXPECT_EQ(accepted, 1u) << name << " fixture does not load";
+  for_each_variant(name, bytes, check);
+  EXPECT_GT(accepted, 1u) << "no corrupted variant was accepted";
+}
 
+TEST(FuzzParsers, Slog2NavigatorSurvivesTruncationAndBitFlips) {
+  fuzz_navigator("tiny.slog2");
+}
+
+TEST(FuzzParsers, Slog2NavigatorV2SurvivesTruncationAndBitFlips) {
+  fuzz_navigator("tiny.v2.slog2");
+}
+
+/// A reader's verdict on one input: "" when `read` returns its text,
+/// otherwise the util::Error message.
+template <typename ReadFn>
+std::string verdict(const ReadFn& read, std::string* text) {
+  try {
+    *text = read();
+    return "";
+  } catch (const util::Error& e) {
+    return std::string("rejected: ") + e.what();
+  }
+}
+
+/// The printers' file readers against the whole-buffer parse() on every
+/// corrupted variant: the same accept/reject decision, the same diagnostic
+/// text, and on acceptance the same dump.
+template <typename StreamFn, typename ParseFn>
+void fuzz_stream_text_parity(const std::string& name, const StreamFn& stream,
+                             const ParseFn& parse_text) {
+  const auto bytes = load(name);
+  ASSERT_FALSE(bytes.empty());
+  util::TempDir dir;
+  const auto path = dir.file("variant.bin");
   const auto check = [&](const std::vector<std::uint8_t>& variant) {
     util::write_file(path, variant);
-    const std::string mmap_v = backend_verdict(path, slog2::ReadBackend::kMmap);
-    const std::string stream_v =
-        backend_verdict(path, slog2::ReadBackend::kStream);
-    EXPECT_EQ(mmap_v, stream_v);
-  };
-
-  check(bytes);  // the pristine fixture must pass both
-  // Every truncation length — a reader observing a shrunken file — then
-  // bit/byte flips, then trailing garbage (a file that grew mid-read).
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    SCOPED_TRACE(name + " truncated to " + std::to_string(n));
-    check({bytes.begin(), bytes.begin() + static_cast<long>(n)});
-  }
-  for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80},
-                                  std::uint8_t{0xff}}) {
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      SCOPED_TRACE(name + ": flip 0x" + std::to_string(mask) + " at byte " +
-                   std::to_string(i));
-      auto mutated = bytes;
-      mutated[i] ^= mask;
-      check(mutated);
+    std::string streamed, parsed;
+    const std::string stream_v = verdict([&] { return stream(path); }, &streamed);
+    const std::string parse_v = verdict([&] { return parse_text(variant); }, &parsed);
+    EXPECT_EQ(stream_v, parse_v);
+    if (stream_v.empty() && parse_v.empty()) {
+      EXPECT_EQ(streamed, parsed);
     }
-  }
-  auto padded = bytes;
-  padded.insert(padded.end(), {0xde, 0xad, 0xbe, 0xef});
-  check(padded);
-
-  std::filesystem::remove(path);
+  };
+  check(bytes);
+  for_each_variant(name, bytes, check);
 }
 
-TEST(FuzzParsers, Slog2MmapAndStreamBackendsAgree) {
-  fuzz_backend_parity("tiny.slog2");
+void fuzz_slog2_stream_text(const std::string& name) {
+  fuzz_stream_text_parity(
+      name,
+      [](const std::filesystem::path& p) {
+        std::string out;
+        slog2::stream_text(p, true, [&](const std::string& s) { out += s; });
+        return out;
+      },
+      [](const std::vector<std::uint8_t>& b) {
+        return slog2::to_text(slog2::parse(b), true);
+      });
 }
 
-TEST(FuzzParsers, Slog2V2MmapAndStreamBackendsAgree) {
-  fuzz_backend_parity("tiny.v2.slog2");
+TEST(FuzzParsers, Slog2StreamTextMatchesParse) {
+  fuzz_slog2_stream_text("tiny.slog2");
+}
+
+TEST(FuzzParsers, Slog2V2StreamTextMatchesParse) {
+  fuzz_slog2_stream_text("tiny.v2.slog2");
+}
+
+TEST(FuzzParsers, Clog2StreamTextMatchesParse) {
+  fuzz_stream_text_parity(
+      "tiny.clog2",
+      [](const std::filesystem::path& p) {
+        std::string out;
+        clog2::stream_text(p, [&](const std::string& s) { out += s; });
+        return out;
+      },
+      [](const std::vector<std::uint8_t>& b) {
+        return clog2::to_text(clog2::parse(b));
+      });
 }
 
 // The v2 payload codec's varint layer, fed hostile encodings directly.

@@ -207,6 +207,19 @@ TEST(Tools, BadInputsFailGracefully) {
             0);
   EXPECT_NE(out.find("error"), std::string::npos);
   EXPECT_NE(run_cmd(tool("pilot-jumpshot") + " /nonexistent.slog2", &out), 0);
+
+  // A missing file and a directory: both printers exit 1 naming the path.
+  for (const std::string& path :
+       {dir.file("missing.trace").string(), dir.path().string()}) {
+    for (const char* printer : {"pilot-clog2print", "pilot-slog2print"}) {
+      EXPECT_EQ(run_status(tool(printer) + " " + path, &out), 1)
+          << printer << " " << path << "\n" << out;
+      EXPECT_NE(out.find("error: " + path), std::string::npos) << out;
+      if (path == dir.path().string()) {
+        EXPECT_NE(out.find("is a directory"), std::string::npos) << out;
+      }
+    }
+  }
 }
 
 TEST(Tools, TruncatedTracesFailWithClearErrors) {

@@ -16,9 +16,10 @@ int run(int argc, char** argv) {
   }
   const std::string& path = args.positional()[0];
   try {
-    // Streams through a fixed-size window (RSS independent of trace size);
-    // validation runs before any output, so truncated or corrupt traces
-    // still fail loudly with the file named and no half-printed dump.
+    // Reads page-cache slices of a mapping one record at a time (the record
+    // vector is never built); validation runs before any output, so
+    // truncated or corrupt traces still fail loudly with the file named and
+    // no half-printed dump.
     clog2::stream_text(path,
                        [](const std::string& chunk) { std::fputs(chunk.c_str(), stdout); });
   } catch (const std::exception& e) {

@@ -26,8 +26,9 @@ int run(int argc, char** argv) {
     ro.require_encoding =
         slog2::parse_frame_encoding(args.get_or("frame-encoding", "v1"));
   try {
-    // Streams frame by frame (RSS stays at window + directory + one frame);
-    // the validation pass rejects corrupt files before any output.
+    // Reads page-cache slices of a mapping frame by frame (only the
+    // directory and one frame are decoded at a time); the validation pass
+    // rejects corrupt files before any output.
     slog2::stream_text(
         path, drawables,
         [](const std::string& chunk) { std::fputs(chunk.c_str(), stdout); },
