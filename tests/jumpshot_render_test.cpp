@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -196,8 +197,8 @@ TEST(RenderWindowed, PreviewLodUnderBudgetDecodesNothing) {
 }
 
 TEST(RenderWindowed, MatchesWholeFileDrawing) {
-  // The Navigator path must draw the same states the whole-file renderer
-  // draws for the same window (legend style differs, rectangles must not).
+  // Without the legend (whose style differs), the Navigator path draws the
+  // whole-file picture byte for byte.
   util::TempDir dir;
   const auto file = slog2::convert(demo_trace());
   slog2::write_file(dir.file("t.slog2"), file);
@@ -205,18 +206,107 @@ TEST(RenderWindowed, MatchesWholeFileDrawing) {
 
   jumpshot::RenderOptions opts;
   opts.draw_legend = false;
-  const std::string whole = jumpshot::render_svg(file, opts);
-  const std::string windowed = jumpshot::render_svg(nav, opts);
-  const auto count = [](const std::string& svg, const char* needle) {
-    std::size_t n = 0;
-    for (auto p = svg.find(needle); p != std::string::npos;
-         p = svg.find(needle, p + 1))
-      ++n;
-    return n;
+  EXPECT_EQ(jumpshot::render_svg(file, opts), jumpshot::render_svg(nav, opts));
+}
+
+TEST(RenderWindowed, PictureIndependentOfFrameLayout) {
+  // One trace converted at three frame sizes, both payload encodings and
+  // two thread counts: every reader hands the drawables out in a different
+  // order, and the picture must not show it.
+  tracegen::Options g;
+  g.seed = 5;
+  g.nranks = 6;
+  g.events = 20000;
+  const clog2::File trace = tracegen::generate(g);
+  const slog2::File ref = slog2::convert(trace);
+  const double span = ref.t_max - ref.t_min;
+  std::vector<jumpshot::RenderOptions> windows(3);
+  windows[1].t0 = ref.t_min + 0.3 * span;
+  windows[1].t1 = windows[1].t0 + span / 64;
+  windows[2].t0 = ref.t_min + 0.7 * span;
+  windows[2].t1 = windows[2].t0 + span / 8;
+  std::vector<std::string> expected;
+  for (auto& w : windows) {
+    w.draw_legend = false;
+    expected.push_back(jumpshot::render_svg(ref, w));
+  }
+  EXPECT_NE(expected[0].find("fill='none'"), std::string::npos)
+      << "the whole view should include outline-form rows";
+
+  for (const std::uint64_t frame_size : {64U * 1024, 16U * 1024, 4U * 1024})
+    for (const auto enc : {slog2::FrameEncoding::kV1, slog2::FrameEncoding::kV2})
+      for (const int threads : {1, 4}) {
+        slog2::ConvertOptions copts;
+        copts.frame_size = frame_size;
+        copts.encoding = enc;
+        copts.threads = threads;
+        const slog2::File file = slog2::convert(trace, copts);
+        slog2::Navigator nav(slog2::serialize(file));
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+          auto w = windows[i];
+          w.threads = threads;
+          const std::string where = util::strprintf(
+              "frame_size %llu, %s, threads %d, window %zu",
+              static_cast<unsigned long long>(frame_size), slog2::to_string(enc),
+              threads, i);
+          EXPECT_EQ(jumpshot::render_svg(file, w), expected[i]) << where << " (File)";
+          EXPECT_EQ(jumpshot::render_svg(nav, w), expected[i])
+              << where << " (Navigator)";
+        }
+      }
+}
+
+TEST(RenderWindowed, PictureIndependentOfDrawableOrderWithNanAndSignedZero) {
+  // Hostile times: NaN of both signs, -0.0 and +0.0 side by side. The same
+  // drawables pushed in two orders must draw the same bytes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto build = [&](bool reversed) {
+    slog2::File f;
+    f.nranks = 2;
+    f.t_min = -1.0;
+    f.t_max = 2.0;
+    f.categories = {
+        {slog2::kArrowCategoryId, slog2::CategoryKind::kArrow, "message", "white", ""},
+        {1, slog2::CategoryKind::kState, "Work", "red", ""},
+        {2, slog2::CategoryKind::kState, "Wait", "blue", ""},
+        {3, slog2::CategoryKind::kEvent, "Tick", "yellow", ""},
+    };
+    f.root = std::make_unique<slog2::Frame>();
+    f.root->t0 = -1.0;
+    f.root->t1 = 2.0;
+    f.root->states = {
+        {1, 0, -0.0, 1.0, 0, "", ""},  {1, 0, 0.0, 1.0, 0, "", ""},
+        {2, 0, -0.0, 1.0, 0, "", ""},  {1, 0, 0.0, 1.0, 0, "b", ""},
+        {1, 0, 0.0, 1.0, 0, "a", ""},  {1, 1, nan, 1.5, 0, "", ""},
+        {1, 1, -nan, 1.5, 0, "", ""},  {2, 1, 0.5, nan, 0, "", ""},
+        {1, 1, 0.25, 0.75, 1, "", ""}, {2, 1, 0.25, 0.75, 1, "", ""},
+    };
+    f.root->events = {
+        {3, 0, 0.0, ""},  {3, 0, -0.0, ""}, {3, 0, 0.0, "x"},
+        {3, 1, nan, ""},  {3, 1, -nan, ""}, {3, 1, 1.0, ""},
+    };
+    f.root->arrows = {
+        {0, 1, 0.0, 1.0, 1, 8},  {0, 1, -0.0, 1.0, 1, 8}, {1, 0, 0.0, 1.0, 1, 8},
+        {0, 1, 0.0, 1.0, 2, 8},  {0, 1, 0.0, 1.0, 1, 16}, {0, 1, nan, 1.0, 1, 8},
+        {0, 1, -nan, 1.0, 1, 8}, {0, 1, 0.5, -0.0, 1, 8},
+    };
+    if (reversed) {
+      std::reverse(f.root->states.begin(), f.root->states.end());
+      std::reverse(f.root->events.begin(), f.root->events.end());
+      std::reverse(f.root->arrows.begin(), f.root->arrows.end());
+    }
+    return f;
   };
-  EXPECT_EQ(count(whole, "<rect"), count(windowed, "<rect"));
-  EXPECT_EQ(count(whole, "<circle"), count(windowed, "<circle"));
-  EXPECT_EQ(count(whole, "marker-end"), count(windowed, "marker-end"));
+  const slog2::File forward = build(false);
+  const slog2::File backward = build(true);
+  jumpshot::RenderOptions opts;
+  opts.draw_legend = false;
+  const std::string svg = jumpshot::render_svg(forward, opts);
+  EXPECT_EQ(jumpshot::render_svg(backward, opts), svg);
+  slog2::Navigator fwd_nav(slog2::serialize(forward));
+  slog2::Navigator back_nav(slog2::serialize(backward));
+  EXPECT_EQ(jumpshot::render_svg(fwd_nav, opts), svg);
+  EXPECT_EQ(jumpshot::render_svg(back_nav, opts), svg);
 }
 
 // --- pinned output -----------------------------------------------------------
@@ -272,17 +362,17 @@ TEST(RenderGolden, TracegenRendersPinned) {
   // Every rank holds well over preview_threshold states: outline form.
   EXPECT_NE(full_file.find("fill='none'"), std::string::npos);
   EXPECT_EQ(full_file.find("  rank 0  ["), std::string::npos);
-  EXPECT_EQ(fnv1a(full_file), "7fd077d200a8175b") << "full view (File)";
-  EXPECT_EQ(fnv1a(jumpshot::render_svg(nav, full)), "0f7a7a2e527ae5d0")
+  EXPECT_EQ(fnv1a(full_file), "58639a95d8a2d6a1") << "full view (File)";
+  EXPECT_EQ(fnv1a(jumpshot::render_svg(nav, full)), "98113cb1b6afbf88")
       << "full view (Navigator)";
 
   const jumpshot::RenderOptions windows[] = {window(0.1, 1.0 / 128),
                                              window(0.5, 1.0 / 32),
                                              window(0.9, 1.0 / 16)};
-  const char* const file_hashes[] = {"8244252a7d9d4692", "ca2090b78cad8d23",
-                                     "f0583cad42176dec"};
-  const char* const nav_hashes[] = {"e2b0747a73c14d65", "b3b992c0db3f3efe",
-                                    "47af90a3b785d7bb"};
+  const char* const file_hashes[] = {"d5dd9e07340c51dc", "339d2a54bda3cbeb",
+                                     "b087236ccd09e4da"};
+  const char* const nav_hashes[] = {"799baf9ca06635ab", "f4e333d430d015f6",
+                                    "f4b1428ff67a7f1d"};
   for (int i = 0; i < 3; ++i) {
     const std::string svg = jumpshot::render_svg(file, windows[i]);
     EXPECT_NE(svg.find("  rank 0  ["), std::string::npos) << "window " << i;
@@ -297,7 +387,7 @@ TEST(RenderGolden, TracegenRendersPinned) {
 
   auto dense = window(0.25, 0.5);
   dense.preview_threshold = 50;
-  EXPECT_EQ(fnv1a(jumpshot::render_svg(nav, dense)), "bb5ad02597d22449")
+  EXPECT_EQ(fnv1a(jumpshot::render_svg(nav, dense)), "b1bf924c6c76760b")
       << "dense rows over preview_threshold";
 
   auto lod = window(0.2, 0.6);
@@ -308,7 +398,7 @@ TEST(RenderGolden, TracegenRendersPinned) {
 
   auto named = window(0.3, 1.0 / 64);
   named.rank_names = {"PI_MAIN", "w<1>", "w&2", "'w3'", "\"w4\""};
-  EXPECT_EQ(fnv1a(jumpshot::render_svg(file, named)), "8df8c8ab638bf68d")
+  EXPECT_EQ(fnv1a(jumpshot::render_svg(file, named)), "3e6978cce7de312d")
       << "rank_names";
 
   jumpshot::StatsRenderOptions stats;
