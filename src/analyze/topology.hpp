@@ -1,5 +1,5 @@
 // Topology linter: diagnostics over the declared process/channel/bundle
-// graph. Two passes share the Topology snapshot:
+// graph. Two passes share one Topology value:
 //
 //   lint_topology — pre-run structural lint, everything knowable the moment
 //                   PI_StartAll has the full graph (PLxx diagnostics);

@@ -126,7 +126,7 @@ public:
   /// Rank names (for the renderer's Y axis), in rank order.
   [[nodiscard]] std::vector<std::string> rank_names() const;
 
-  /// Snapshot of the entity graph (plus traffic counters once the run is
+  /// Copy of the entity graph (plus traffic counters once the run is
   /// over) in the analyze library's plain form.
   [[nodiscard]] analyze::Topology build_topology() const;
 

@@ -388,19 +388,15 @@ void assemble(File& out, Collected items, bool any_instance,
 
   // --- time span -------------------------------------------------------------
   if (any_instance) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    auto widen = [&](double s, double e) {
-      lo = std::min(lo, s);
-      hi = std::max(hi, e);
-    };
-    for (const auto& s : items.states) widen(s.start_time, s.end_time);
-    for (const auto& e : items.events) widen(e.time, e.time);
+    Span span;
+    for (const auto& s : items.states) span.widen(s.start_time, s.end_time);
+    for (const auto& e : items.events) span.widen(e.time, e.time);
     for (const auto& a : items.arrows)
-      widen(std::min(a.start_time, a.end_time), std::max(a.start_time, a.end_time));
-    if (lo <= hi) {
-      out.t_min = lo;
-      out.t_max = hi;
+      span.widen(std::min(a.start_time, a.end_time),
+                 std::max(a.start_time, a.end_time));
+    if (span.lo <= span.hi) {
+      out.t_min = span.lo;
+      out.t_max = span.hi;
     }
   }
 

@@ -8,9 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "jumpshot/render.hpp"
 #include "query/slog2_rollup.hpp"
@@ -243,14 +245,19 @@ std::string Service::dispatch(
     if (req.has("sync") && req.boolean("sync")) pool_.drain();
     std::string svg;
     s->with_converter([&](OnlineConverter& conv) {
-      slog2::File snap = conv.snapshot();
-      slog2::Navigator nav(slog2::serialize(snap));
+      // The committed drawables, drawn straight from the sealed chunks and
+      // the tail; a live render never falls back to preview LOD.
+      jumpshot::TimelineSource src;
+      src.nranks = conv.nranks();
+      std::tie(src.t_min, src.t_max) = conv.committed_span();
+      src.categories = &conv.categories();
+      src.visit = std::bind_front(&OnlineConverter::visit_window, &conv);
       jumpshot::RenderOptions ro;
       if (req.has("t0")) ro.t0 = req.fnum("t0");
       if (req.has("t1")) ro.t1 = req.fnum("t1");
       ro.width = static_cast<int>(req.num_or("width", ro.width));
       ro.title = req.str_or("title", "live: " + s->name());
-      svg = jumpshot::render_svg(nav, ro);
+      svg = jumpshot::render_svg(src, ro);
     });
     return JsonWriter()
         .field("ok", true)

@@ -65,7 +65,7 @@ public:
   [[nodiscard]] Status status();
 
   /// Run `fn` with the converter under the session lock (queries,
-  /// snapshots). Throws util::UsageError if the stream never produced a
+  /// renders). Throws util::UsageError if the stream never produced a
   /// header or the session failed.
   void with_converter(const std::function<void(OnlineConverter&)>& fn);
 
