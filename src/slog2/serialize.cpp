@@ -76,8 +76,6 @@ Preview read_preview(util::ByteReader& r) {
   return pv;
 }
 
-// A frame payload: the drawables only (interval/depth/preview/links live in
-// the directory), independently decodable.
 void write_payload_v1(util::ByteWriter& w, const Frame& f) {
   w.u32(static_cast<std::uint32_t>(f.states.size()));
   for (const auto& s : f.states) {
@@ -105,13 +103,6 @@ void write_payload_v1(util::ByteWriter& w, const Frame& f) {
     w.i32(a.tag);
     w.u32(a.size);
   }
-}
-
-void write_payload(util::ByteWriter& w, const Frame& f, FrameEncoding enc) {
-  if (enc == FrameEncoding::kV2)
-    detail::encode_drawables_v2(w, f.states, f.events, f.arrows);
-  else
-    write_payload_v1(w, f);
 }
 
 void read_payload_v1(util::ByteReader& r, Frame* f) {
@@ -315,23 +306,35 @@ detail::Directory read_directory(util::ByteReader& r, const ReadOptions& ro) {
   return d;
 }
 
-// The one payload decode: frame `i` of a checked directory, its interval
-// and drawables (the preview stays in the directory). A payload with bytes
-// left over is corrupt.
+// Frame `i` of a checked directory: its interval and drawables (the preview
+// stays in the directory).
 void decode_payload(const detail::Directory& d, std::size_t i, Frame* f) {
   const detail::DirEntry& e = d.frames[i];
   f->t0 = e.t0;
   f->t1 = e.t1;
   f->depth = e.depth;
-  util::ByteReader r(d.blob + e.offset, static_cast<std::size_t>(e.length));
-  if (d.head.encoding == FrameEncoding::kV2)
+  detail::read_payload(d.blob + e.offset, static_cast<std::size_t>(e.length),
+                       d.head.encoding, f);
+}
+
+}  // namespace
+
+void detail::write_payload(util::ByteWriter& w, const Frame& f, FrameEncoding enc) {
+  if (enc == FrameEncoding::kV2)
+    detail::encode_drawables_v2(w, f.states, f.events, f.arrows);
+  else
+    write_payload_v1(w, f);
+}
+
+void detail::read_payload(const std::uint8_t* data, std::size_t n, FrameEncoding enc,
+                          Frame* f) {
+  util::ByteReader r(data, n);
+  if (enc == FrameEncoding::kV2)
     detail::decode_drawables_v2(r, &f->states, &f->events, &f->arrows);
   else
     read_payload_v1(r, f);
   if (!r.at_end()) throw util::IoError("slog2: frame payload has trailing bytes");
 }
-
-}  // namespace
 
 const char* to_string(FrameEncoding e) {
   return e == FrameEncoding::kV2 ? "v2" : "v1";
@@ -364,7 +367,7 @@ std::vector<std::uint8_t> serialize(const File& file) {
   extents.reserve(nodes.size());
   for (const FlatNode& n : nodes) {
     const std::uint64_t begin = blob.size();
-    write_payload(blob, *n.frame, file.encoding);
+    detail::write_payload(blob, *n.frame, file.encoding);
     extents.emplace_back(begin, blob.size() - begin);
   }
 
