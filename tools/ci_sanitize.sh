@@ -54,15 +54,18 @@ TSAN_OPTIONS="halt_on_error=1" \
 # the lazy Navigator, the printers' stream_text, the v2 codec) fed the
 # fuzz suite's truncated, bit-flipped and hostile inputs, plus the tool
 # end-to-end tests. An out-of-bounds read in a reader shows up here as a
-# report, not as a lucky pass. ChaosMatrix stays out until the 162-byte
-# leak LeakSanitizer reports from pilot::Runtime::deliver_wire on a
-# crash-injected rank thread is fixed (a separate ROADMAP item); the
-# million-event V2Scale sibling stays out by name like the other heavy
-# suites.
+# report, not as a lucky pass. 'Render' draws hostile files and every
+# reader's window order, and 'Traced\.' decodes sealed live chunks
+# (including a corrupted spill file) for queries and renders; its
+# million-event TracedScale sibling stays out by name. ChaosMatrix stays
+# out until the 162-byte leak LeakSanitizer reports from
+# pilot::Runtime::deliver_wire on a crash-injected rank thread is fixed (a
+# separate ROADMAP item); the million-event V2Scale sibling stays out by
+# name like the other heavy suites.
 cmake --preset sanitize-address
 cmake --build --preset sanitize-address -j "$(nproc)" \
   --target fault_fuzz_test slog2_test clog2_test slog2_v2_roundtrip_test \
-  tools_test query_core_test jumpshot_test
+  tools_test query_core_test jumpshot_test traced_test
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   ctest --preset sanitize-address \
-  -R 'FuzzParsers|FuzzTools|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.' "$@"
+  -R 'FuzzParsers|FuzzTools|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.' "$@"
