@@ -46,7 +46,7 @@ Report check_trace(const clog2::File& file, const TraceCheckOptions& opts) {
                                              "PI_Reduce"};
 
   // --- pass 1: match sends with receives (FIFO per sender/receiver/tag) ----
-  query::MsgGraph graph = query::match_messages(file);
+  query::MsgGraph graph = query::match_messages(trace);
   auto& msgs = graph.msgs;
   auto& ops = graph.ops;
 

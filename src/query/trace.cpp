@@ -27,13 +27,7 @@ bool flatten_step(const clog2::Record& rec, Step* out) {
     return true;
   }
   if (const auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-    out->time = m->timestamp;
-    out->rank = m->rank;
-    out->kind = m->kind == clog2::MsgRec::Kind::kSend ? StepKind::kSend
-                                                      : StepKind::kRecv;
-    out->partner = m->partner;
-    out->tag = m->tag;
-    out->size = m->size;
+    *out = message_step(*m);
     return true;
   }
   if (const auto* sy = std::get_if<clog2::SyncRec>(&rec)) {
@@ -46,6 +40,17 @@ bool flatten_step(const clog2::Record& rec, Step* out) {
 }
 
 }  // namespace
+
+Step message_step(const clog2::MsgRec& m) {
+  Step s;
+  s.time = m.timestamp;
+  s.rank = m.rank;
+  s.kind = m.kind == clog2::MsgRec::Kind::kSend ? StepKind::kSend : StepKind::kRecv;
+  s.partner = m.partner;
+  s.tag = m.tag;
+  s.size = m.size;
+  return s;
+}
 
 Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
   const int nworkers = util::resolve_threads(threads);
@@ -99,6 +104,7 @@ Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
     }
   });
   for (const ChunkScan& sc : scans) {
+    definitions_.insert(definitions_.end(), sc.defs.begin(), sc.defs.end());
     for (const clog2::Record* rec : sc.defs) {
       if (const auto* sd = std::get_if<clog2::StateDef>(rec)) {
         state_events_[sd->start_event_id] = {sd->state_id, sd->name, true};

@@ -42,6 +42,9 @@ struct Step {
   }
 };
 
+/// The step a message record flattens to.
+Step message_step(const clog2::MsgRec& m);
+
 /// What an event id means when it belongs to a StateDef.
 struct StateEvent {
   std::int32_t state_id = 0;
@@ -72,6 +75,10 @@ class Trace {
   }
 
   // --- definition lookups ---------------------------------------------------
+  /// The StateDef and EventDef records, in record order.
+  [[nodiscard]] const std::vector<const clog2::Record*>& definitions() const {
+    return definitions_;
+  }
   /// Non-null when `event_id` is the start or end event of a StateDef.
   [[nodiscard]] const StateEvent* state_event(std::int32_t event_id) const;
   [[nodiscard]] const std::string* state_name(std::int32_t state_id) const;
@@ -95,6 +102,7 @@ class Trace {
   int nranks_ = 0;
   std::vector<Step> steps_;
   std::vector<std::vector<std::size_t>> by_rank_;
+  std::vector<const clog2::Record*> definitions_;
   std::map<std::int32_t, StateEvent> state_events_;
   std::map<std::int32_t, std::string> state_names_;
   std::map<std::string, std::int32_t> solo_event_ids_;

@@ -5,9 +5,16 @@
 // and promise output identical to a plain in-order pass at any count. These
 // are those plain passes, kept here as test oracles: one loop over the
 // records, steps, or messages in stream order, with no sharding at all.
+//
+// Two more oracles keep the analysis passes' former record-level forms:
+// the message matcher that walked the clog2::File records with a std::map
+// per message half, and pilot-tracediff's projection of each rank into
+// comparison-key strings. query::match_messages and diff_traces' in-place
+// step comparison must agree with them exactly.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -19,6 +26,7 @@
 #include "query/clocks.hpp"
 #include "query/rollup.hpp"
 #include "query/trace.hpp"
+#include "util/strings.hpp"
 
 namespace query_oracle {
 
@@ -137,6 +145,126 @@ inline query::MessageEdges message_edges(const query::MsgGraph& graph) {
     }
   }
   return out;
+}
+
+/// Message matching over the raw records: three walks over the variant
+/// records and a std::map lookup per message half.
+inline query::MsgGraph match_messages(const clog2::File& file,
+                                      int nranks_floor = 0) {
+  using query::MatchedMsg;
+  using query::MsgGraph;
+  using query::MsgOp;
+  using query::TagKey;
+  MsgGraph g;
+  int max_rank = std::max(file.nranks, nranks_floor) - 1;
+  for (const auto& rec : file.records) {
+    if (const auto* ev = std::get_if<clog2::EventRec>(&rec))
+      max_rank = std::max(max_rank, ev->rank);
+    else if (const auto* m = std::get_if<clog2::MsgRec>(&rec))
+      max_rank = std::max(max_rank, m->rank);
+  }
+  g.nranks = max_rank + 1;
+  if (g.nranks <= 0) return g;
+  g.ops.resize(static_cast<std::size_t>(g.nranks));
+
+  // Pass A: register every send, in per-key FIFO order. Pairing works off
+  // these per-key lists rather than the merged interleaving: per-rank clock
+  // correction can skew a receive's timestamp a hair *before* its send in
+  // the merged file, and a one-pass matcher would then drop the receive and
+  // shift every later pair on that edge by one.
+  struct KeyState {
+    std::vector<std::size_t> sends;  ///< msg indices, per-key FIFO order
+    std::size_t sends_seen = 0;      ///< pass-B cursor over `sends`
+    std::size_t recvs_seen = 0;      ///< receives consumed so far
+  };
+  std::map<TagKey, KeyState> keys;
+  for (const auto& rec : file.records) {
+    const auto* m = std::get_if<clog2::MsgRec>(&rec);
+    if (m == nullptr || m->kind != clog2::MsgRec::Kind::kSend) continue;
+    MatchedMsg msg;
+    msg.send_time = m->timestamp;
+    msg.sender = m->rank;
+    msg.receiver = m->partner;
+    msg.tag = m->tag;
+    msg.size = m->size;
+    g.msgs.push_back(msg);
+    keys[{m->rank, m->partner, m->tag}].sends.push_back(g.msgs.size() - 1);
+  }
+
+  // Pass B: walk the stream again, consuming each key's i-th send for its
+  // i-th receive and emitting per-rank ops in stream order.
+  for (const auto& rec : file.records) {
+    const auto* m = std::get_if<clog2::MsgRec>(&rec);
+    if (m == nullptr) continue;
+    if (m->kind == clog2::MsgRec::Kind::kSend) {
+      KeyState& ks = keys[{m->rank, m->partner, m->tag}];
+      const std::size_t idx = ks.sends[ks.sends_seen++];
+      g.ops[static_cast<std::size_t>(m->rank)].push_back(
+          {MsgOp::Kind::kSend, idx});
+    } else {
+      const TagKey key{m->partner, m->rank, m->tag};
+      const auto it = keys.find(key);
+      if (it == keys.end() || it->second.recvs_seen >= it->second.sends.size()) {
+        ++g.unmatched_recvs[key];
+        if (it != keys.end()) ++it->second.recvs_seen;
+        continue;
+      }
+      const std::size_t idx = it->second.sends[it->second.recvs_seen++];
+      g.msgs[idx].matched = true;
+      g.msgs[idx].recv_time = m->timestamp;
+      g.ops[static_cast<std::size_t>(m->rank)].push_back({MsgOp::Kind::kRecv, idx});
+    }
+  }
+
+  // Sends still in flight: each key's unconsumed FIFO suffix. Keys whose
+  // FIFO drained stay present — the pinned diagnostic order.
+  for (const auto& [key, ks] : keys) {
+    auto& fifo = g.unreceived[key];
+    const std::size_t taken = std::min(ks.sends.size(), ks.recvs_seen);
+    fifo.assign(ks.sends.begin() + static_cast<std::ptrdiff_t>(taken),
+                ks.sends.end());
+  }
+  return g;
+}
+
+/// pilot-tracediff's timestamp-free projection of each rank in [0, nranks)
+/// as comparison-key strings: "E <event id> <popup text with floats
+/// masked>" (the "%s" stops the text at its first NUL), "S|R <partner>
+/// <tag> <size>" for message halves; syncs dropped.
+inline std::vector<std::vector<std::string>> projection_keys(
+    const query::Trace& trace, int nranks) {
+  std::vector<std::vector<std::string>> out(
+      static_cast<std::size_t>(std::max(nranks, 0)));
+  for (const query::Step& st : trace.steps()) {
+    if (st.kind == query::StepKind::kSync) continue;
+    if (st.rank < 0 || static_cast<std::size_t>(st.rank) >= out.size()) continue;
+    std::string key;
+    switch (st.kind) {
+      case query::StepKind::kEvent:
+        key = util::strprintf("E %d %s", st.event_id,
+                              util::mask_floats(*st.text).c_str());
+        break;
+      case query::StepKind::kSend:
+        key = util::strprintf("S %d %d %u", st.partner, st.tag, st.size);
+        break;
+      case query::StepKind::kRecv:
+        key = util::strprintf("R %d %d %u", st.partner, st.tag, st.size);
+        break;
+      case query::StepKind::kSync:
+        continue;
+    }
+    out[static_cast<std::size_t>(st.rank)].push_back(std::move(key));
+  }
+  return out;
+}
+
+/// First index at which two key lists differ; the shorter list's length
+/// when one is a prefix of the other (equal lists give their length).
+inline std::size_t first_divergence(const std::vector<std::string>& a,
+                                    const std::vector<std::string>& b) {
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
+  return i;
 }
 
 }  // namespace query_oracle
