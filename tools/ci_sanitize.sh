@@ -12,6 +12,8 @@
 # Any sanitizer report fails the run.
 #
 # Usage: tools/ci_sanitize.sh [extra ctest args...]
+# Every ctest leg runs with -j "$(nproc)"; a -j among the extra arguments
+# comes later on the command line and wins.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,7 +22,7 @@ cmake --preset sanitize-undefined
 cmake --build --preset sanitize-undefined -j "$(nproc)"
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ctest --preset sanitize-undefined "$@"
+  ctest --preset sanitize-undefined -j "$(nproc)" "$@"
 
 cmake --preset sanitize-thread
 cmake --build --preset sanitize-thread -j "$(nproc)" \
@@ -47,7 +49,7 @@ cmake --build --preset sanitize-thread -j "$(nproc)" \
 # concurrent sessions; the million-event QueryParallelScale sibling stays
 # out by name like the other heavy suites.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset sanitize-thread \
+  ctest --preset sanitize-thread -j "$(nproc)" \
   -R 'Replay|Prl|CrossCheck|Mpisim|Fault|ChaosMatrix|PipelineScale\.|TasksSubstrate\.|TraceDiffLocalize\.|Traced\.|V2Codec|V2Differential|V2Online|TraceDigest|QueryParallel\.|FrameCacheConcurrency' "$@"
 
 # ASan leg: every reader of the on-disk formats (the CLOG-2/SLOG-2 parsers,
@@ -61,11 +63,17 @@ TSAN_OPTIONS="halt_on_error=1" \
 # out until the 162-byte leak LeakSanitizer reports from
 # pilot::Runtime::deliver_wire on a crash-injected rank thread is fixed (a
 # separate ROADMAP item); the million-event V2Scale sibling stays out by
-# name like the other heavy suites.
+# name like the other heavy suites. 'TraceCheck(App)?\.|TraceDiff\.' and
+# 'Query(Trace|Clocks|Rollup)' run the analysis passes: the pinned report
+# hashes, the matcher and in-place diff against their record-level
+# oracles, message halves on a negative rank (which once indexed the
+# per-rank op lists out of bounds), and the checker on whole Pilot app
+# runs (TraceCheckApp: no crash injection, so no deliver_wire leak).
 cmake --preset sanitize-address
 cmake --build --preset sanitize-address -j "$(nproc)" \
   --target fault_fuzz_test slog2_test clog2_test slog2_v2_roundtrip_test \
-  tools_test query_core_test jumpshot_test traced_test
+  tools_test query_core_test jumpshot_test traced_test analyze_test \
+  tracediff_test
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-  ctest --preset sanitize-address \
-  -R 'FuzzParsers|FuzzTools|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.' "$@"
+  ctest --preset sanitize-address -j "$(nproc)" \
+  -R 'FuzzParsers|FuzzTools|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)' "$@"
