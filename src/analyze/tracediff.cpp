@@ -25,10 +25,10 @@ std::string rank_label(int rank) { return util::strprintf("rank %d", rank); }
 /// dropped.
 using Projection = std::vector<const query::Step*>;
 
-/// One projection per rank in [0, nranks); ranks the trace never logged on
-/// project to nothing.
+/// One projection per rank in [0, nranks); ranks past the trace's own
+/// count (the other run has more, TD101) project to nothing.
 std::vector<Projection> project(const query::Trace& trace, int nranks) {
-  std::vector<Projection> out(static_cast<std::size_t>(std::max(nranks, 0)));
+  std::vector<Projection> out(static_cast<std::size_t>(nranks));
   const auto& by_rank = trace.by_rank();
   for (std::size_t r = 0; r < out.size() && r < by_rank.size(); ++r) {
     out[r].reserve(by_rank[r].size());
@@ -124,13 +124,13 @@ struct DefTables {
 /// `t` in the reference run, or the zero clock.
 query::Clock stamp_before(const query::MsgGraph& graph, int r, double t) {
   query::Clock best(static_cast<std::size_t>(graph.nranks), 0);
-  if (r < 0 || static_cast<std::size_t>(r) >= graph.ops.size()) return best;
+  // A rank only the suspect has (TD101 fired) has no reference ops.
+  if (static_cast<std::size_t>(r) >= graph.ops.size()) return best;
   for (const query::MsgOp& op : graph.ops[static_cast<std::size_t>(r)]) {
     const query::MatchedMsg& m = graph.msgs[op.msg];
     const bool is_send = op.kind == query::MsgOp::Kind::kSend;
     const double op_time = is_send ? m.send_time : m.recv_time;
     if (op_time >= t - kEps) break;
-    if (!m.stamped) continue;
     best = is_send ? m.send_stamp : m.recv_stamp;
   }
   return best;
@@ -300,10 +300,7 @@ TraceDiffResult diff_traces(const clog2::File& reference,
       const auto& ms = sus_graph.msgs[sus_list[i]];
       const double lat_ref = mr.recv_time - mr.send_time;
       const double lat_sus = ms.recv_time - ms.send_time;
-      const int sender = mr.sender;
-      if (sender < 0 || sender >= nranks) continue;
-      if (mr.receiver < 0 || mr.receiver >= nranks) continue;
-      paired.push_back({sender, mr.receiver, ms.send_time, ms.recv_time,
+      paired.push_back({mr.sender, mr.receiver, ms.send_time, ms.recv_time,
                         lat_sus - lat_ref, sus_recv_order[sus_list[i]]});
     }
   }
@@ -404,7 +401,6 @@ TraceDiffResult diff_traces(const clog2::File& reference,
     int emitted = 0, skipped = 0;
     for (const auto& [key, ss] : sus_dur.by_rank_state) {
       const auto& [r, state_id] = key;
-      if (r < 0 || r >= nranks) continue;
       const query::StateStats* rs = ref_dur.find(r, state_id);
       const double ref_total = rs != nullptr ? rs->total_seconds : 0.0;
       const double delta = ss.total_seconds - ref_total;

@@ -154,7 +154,7 @@ StreamHeader read_stream_header(Reader& r) {
     throw util::IoError(util::strprintf("clog2: unsupported version %u (expected %u)",
                                         h.version, kFormatVersion));
   h.nranks = r.i32();
-  if (h.nranks < 0) throw util::IoError("clog2: negative rank count");
+  check_nranks(h.nranks);
   h.comment = r.str();
   // Smallest record on disk is a kind byte plus payload; validating the
   // count against the remaining bytes turns a corrupted count field into a
@@ -265,6 +265,39 @@ private:
 
 Record read_record(util::ByteReader& r) { return read_record_any(r); }
 
+void check_nranks(std::int32_t nranks) {
+  if (nranks < 0 || nranks > kMaxRanks)
+    throw util::IoError(util::strprintf("clog2: rank count %d outside [0, %d]",
+                                        nranks, kMaxRanks));
+}
+
+namespace {
+
+// Out of line, so the in-range path of check_ranks stays small enough to
+// inline into the readers' per-record loops.
+[[noreturn]] void rank_error(std::uint64_t index, const char* what,
+                             std::int32_t r, std::int32_t nranks) {
+  throw util::IoError(util::strprintf("clog2: record %llu: %s %d outside [0, %d)",
+                                      static_cast<unsigned long long>(index), what,
+                                      r, nranks));
+}
+
+}  // namespace
+
+void check_ranks(const Record& rec, std::int32_t nranks, std::uint64_t index) {
+  const auto check = [&](const char* what, std::int32_t r) {
+    if (r < 0 || r >= nranks) rank_error(index, what, r, nranks);
+  };
+  if (const auto* ev = std::get_if<EventRec>(&rec)) {
+    check("rank", ev->rank);
+  } else if (const auto* m = std::get_if<MsgRec>(&rec)) {
+    check("rank", m->rank);
+    check("partner", m->partner);
+  } else if (const auto* sy = std::get_if<SyncRec>(&rec)) {
+    check("rank", sy->rank);
+  }
+}
+
 void StreamReader::feed(const void* data, std::size_t n) {
   if (n == 0) return;
   if (finished_)
@@ -325,6 +358,7 @@ StreamReader::Status StreamReader::next(Record* out) {
   } catch (const NeedMoreData&) {
     return need_more();
   }
+  check_ranks(rec, nranks_, records_read_);
   pos_ += r.pos();
   consumed_ += r.pos();
   ++records_read_;
@@ -352,8 +386,10 @@ File parse(const std::vector<std::uint8_t>& bytes) {
   file.nranks = h.nranks;
   file.comment = h.comment;
   file.records.reserve(h.nrecords);
-  for (std::uint64_t i = 0; i < h.nrecords; ++i)
+  for (std::uint64_t i = 0; i < h.nrecords; ++i) {
     file.records.push_back(read_record_any(r));
+    check_ranks(file.records.back(), h.nranks, i);
+  }
   if (r.u8() != static_cast<std::uint8_t>(RecordKind::kEndLog))
     throw util::IoError("clog2: missing end-of-log marker");
   return file;
@@ -386,7 +422,8 @@ void stream_text(const std::filesystem::path& path,
   {
     util::ByteReader r(map.data(), map.size());
     const StreamHeader h = read_stream_header(r);
-    for (std::uint64_t i = 0; i < h.nrecords; ++i) (void)read_record_any(r);
+    for (std::uint64_t i = 0; i < h.nrecords; ++i)
+      check_ranks(read_record_any(r), h.nranks, i);
     if (r.u8() != static_cast<std::uint8_t>(RecordKind::kEndLog))
       throw util::IoError("clog2: missing end-of-log marker");
   }

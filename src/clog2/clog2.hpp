@@ -26,6 +26,13 @@ namespace clog2 {
 /// Current on-disk format version.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
+/// Largest rank count a header may declare. Every per-rank table downstream
+/// (the Trace index, vector clocks, tracegen's per-rank state) is sized by
+/// it, so 16384 keeps them within a few MB while comfortably covering the
+/// 10k-rank task-substrate sweeps; a larger count is almost always a
+/// corrupted or typo'd header and would silently eat memory instead.
+inline constexpr std::int32_t kMaxRanks = 16384;
+
 /// Definition of a solo event kind (one timestamp, drawn as a bubble).
 struct EventDef {
   std::int32_t event_id = 0;
@@ -81,6 +88,11 @@ struct SyncRec {
 using Record = std::variant<EventDef, StateDef, ConstDef, EventRec, MsgRec, SyncRec>;
 
 /// A parsed / to-be-written CLOG-2 file.
+///
+/// The checked record language bounds ranks: 0 <= nranks <= kMaxRanks, and
+/// every Event, Msg and Sync record names a rank (a Msg also a partner) in
+/// [0, nranks). Every reader and the query::Trace build enforce it through
+/// check_nranks / check_ranks.
 struct File {
   std::uint32_t version = kFormatVersion;
   std::int32_t nranks = 0;
@@ -97,6 +109,16 @@ struct File {
   }
 };
 
+/// Throws util::IoError ("clog2: rank count N outside [0, 16384]") unless
+/// 0 <= nranks <= kMaxRanks.
+void check_nranks(std::int32_t nranks);
+
+/// Throws util::IoError ("clog2: record I: rank R outside [0, N)", or
+/// "partner P") unless the record's rank, and a message's partner, lie in
+/// [0, nranks). `index` is the record's 0-based position in the file, for
+/// the message. Definition records carry no rank and always pass.
+void check_ranks(const Record& rec, std::int32_t nranks, std::uint64_t index);
+
 /// Append one record in the on-disk layout (used by the robust-log spill
 /// files, which are bare record streams without the file header).
 void append_record(util::ByteWriter& w, const Record& rec);
@@ -109,7 +131,8 @@ Record read_record(util::ByteReader& r);
 /// Serialize to the on-disk byte layout.
 std::vector<std::uint8_t> serialize(const File& file);
 
-/// Parse; throws util::IoError on malformed/truncated input.
+/// Parse; throws util::IoError on malformed/truncated input or a rank
+/// outside the header's range.
 File parse(const std::vector<std::uint8_t>& bytes);
 
 void write_file(const std::filesystem::path& path, const File& file);
@@ -136,8 +159,9 @@ void stream_text(const std::filesystem::path& path,
 /// reported as Status::kNeedMoreData (retryable after more feed()) instead
 /// of the hard util::IoError a whole-file parse() gives truncation.
 /// Structural corruption (bad magic, unsupported version, unknown record
-/// kind, bad message kind, an impossibly large record) still throws
-/// util::IoError, so a corrupt stream fails loudly at the first bad byte.
+/// kind, bad message kind, an impossibly large record, a rank outside the
+/// header's range) still throws util::IoError, so a corrupt stream fails
+/// loudly at the first bad byte.
 ///
 /// The accepted record language is parse()'s minus one safety bound: a
 /// string longer than kMaxRecordBytes throws util::IoError here ("exceeds

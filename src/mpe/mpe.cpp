@@ -15,6 +15,15 @@ namespace {
 constexpr int kTagSyncPing = 0x02000001;
 constexpr int kTagSyncPong = 0x02000002;
 constexpr int kTagCollect = 0x02000003;
+
+/// The rank a spilled record was logged on; -1 for a definition, which
+/// has no place in a rank's stream.
+int logged_rank(const clog2::Record& rec) {
+  if (const auto* e = std::get_if<clog2::EventRec>(&rec)) return e->rank;
+  if (const auto* m = std::get_if<clog2::MsgRec>(&rec)) return m->rank;
+  if (const auto* s = std::get_if<clog2::SyncRec>(&rec)) return s->rank;
+  return -1;
+}
 }  // namespace
 
 double record_time(const clog2::Record& rec) {
@@ -444,22 +453,32 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
     std::vector<clog2::SyncRec> syncs;
   };
   std::map<int, Fragment> fragments;
+  int last_file = -1;
+  // The header must cover every kept rank and partner; spill files open
+  // at a rank's first record, so a partner may name a rank with no file.
   int max_rank = -1;
-  for (int rank = 0;; ++rank) {
+  for (int rank = 0; rank < clog2::kMaxRanks; ++rank) {
     const fs::path path = spill_base + ".rank" + std::to_string(rank) + ".spill";
     if (!fs::exists(path)) {
       // Allow gaps of a few ranks (a rank may never have logged).
-      if (rank > max_rank + 8) break;
+      if (rank > last_file + 8) break;
       continue;
     }
     found_anything = true;
-    max_rank = rank;
+    last_file = rank;
     auto& frag = fragments[rank];
     const auto bytes = util::read_file(path);
     util::ByteReader r(bytes);
     try {
       while (!r.at_end()) {
         auto rec = clog2::read_record(r);
+        // A record logged under another rank, or naming a partner no header
+        // can cover, is corruption: the stream ends there, like a torn tail.
+        const auto* m = std::get_if<clog2::MsgRec>(&rec);
+        if (logged_rank(rec) != rank ||
+            (m != nullptr && (m->partner < 0 || m->partner >= clog2::kMaxRanks)))
+          break;
+        max_rank = std::max({max_rank, rank, m != nullptr ? m->partner : -1});
         if (auto* s = std::get_if<clog2::SyncRec>(&rec)) {
           frag.syncs.push_back(*s);
         } else {

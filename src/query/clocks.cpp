@@ -39,11 +39,10 @@ struct TagKeyHash {
 };
 
 /// The matcher proper, over the message steps of `steps` in stream order.
-/// Every step's rank must be below `nranks`.
+/// Every step's rank must lie in [0, nranks).
 MsgGraph match_steps(const std::vector<Step>& steps, int nranks) {
   MsgGraph g;
   g.nranks = nranks;
-  if (nranks <= 0) return g;
   g.ops.resize(static_cast<std::size_t>(nranks));
 
   // Pass A: find each message half's key slot (one hash lookup per half,
@@ -81,17 +80,13 @@ MsgGraph match_steps(const std::vector<Step>& steps, int nranks) {
 
   // Pass B: consume each key's i-th send for its i-th receive and emit the
   // per-rank ops in stream order. Both passes meet the sends in the same
-  // order, so the k-th send here is msgs[k]. A half on a negative rank has
-  // no op list; it is matched all the same.
+  // order, so the k-th send here is msgs[k].
   std::size_t next_send = 0;
   for (const Half& h : halves) {
     const Step& s = *h.step;
-    std::vector<MsgOp>* rank_ops =
-        s.rank >= 0 && s.rank < nranks ? &g.ops[static_cast<std::size_t>(s.rank)]
-                                       : nullptr;
+    std::vector<MsgOp>& rank_ops = g.ops[static_cast<std::size_t>(s.rank)];
     if (s.kind == StepKind::kSend) {
-      const std::size_t idx = next_send++;
-      if (rank_ops != nullptr) rank_ops->push_back({MsgOp::Kind::kSend, idx});
+      rank_ops.push_back({MsgOp::Kind::kSend, next_send++});
       continue;
     }
     KeyState& ks = keys[h.slot];
@@ -103,7 +98,7 @@ MsgGraph match_steps(const std::vector<Step>& steps, int nranks) {
     const std::size_t idx = ks.sends[ks.recvs_seen++];
     g.msgs[idx].matched = true;
     g.msgs[idx].recv_time = s.time;
-    if (rank_ops != nullptr) rank_ops->push_back({MsgOp::Kind::kRecv, idx});
+    rank_ops.push_back({MsgOp::Kind::kRecv, idx});
   }
 
   // Sends still in flight: each sending key's unconsumed FIFO suffix. Keys
@@ -122,39 +117,25 @@ MsgGraph match_steps(const std::vector<Step>& steps, int nranks) {
 
 }  // namespace
 
-MsgGraph match_messages(const Trace& trace, int nranks_floor) {
-  return match_steps(trace.steps(), std::max(trace.nranks(), nranks_floor));
+MsgGraph match_messages(const Trace& trace) {
+  return match_steps(trace.steps(), trace.nranks());
 }
 
 MsgGraph match_messages(const clog2::File& file, int nranks_floor) {
-  // The rank count a Trace observes: the header's, widened by every event
-  // and message rank.
-  int max_rank = std::max(file.nranks, nranks_floor) - 1;
+  clog2::check_nranks(file.nranks);
   std::vector<Step> msgs;
-  for (const auto& rec : file.records) {
-    if (const auto* ev = std::get_if<clog2::EventRec>(&rec)) {
-      max_rank = std::max(max_rank, ev->rank);
-    } else if (const auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-      max_rank = std::max(max_rank, m->rank);
+  for (std::size_t i = 0; i < file.records.size(); ++i) {
+    clog2::check_ranks(file.records[i], file.nranks, i);
+    if (const auto* m = std::get_if<clog2::MsgRec>(&file.records[i]))
       msgs.push_back(message_step(*m));
-    }
   }
-  return match_steps(msgs, max_rank + 1);
+  return match_steps(msgs, std::max(file.nranks, nranks_floor));
 }
 
 bool stamp_clocks(MsgGraph& graph) {
-  if (graph.nranks <= 0) return false;
   std::vector<std::size_t> idx(static_cast<std::size_t>(graph.nranks), 0);
   std::vector<Clock> vc(static_cast<std::size_t>(graph.nranks),
                         Clock(static_cast<std::size_t>(graph.nranks), 0));
-  // A send logged on a rank outside [0, nranks) has no op to stamp it; it
-  // gets the zero clock, so its receive does not wait forever and every
-  // send a check compares carries a full-size stamp.
-  for (MatchedMsg& m : graph.msgs)
-    if (m.sender < 0 || m.sender >= graph.nranks) {
-      m.send_stamp = Clock(static_cast<std::size_t>(graph.nranks), 0);
-      m.stamped = true;
-    }
   std::size_t remaining = 0;
   for (const auto& v : graph.ops) remaining += v.size();
   bool causal_cycle = false;

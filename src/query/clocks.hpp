@@ -59,8 +59,6 @@ struct MsgGraph {
   /// Every send half, in stream order.
   std::vector<MatchedMsg> msgs;
   /// Per-rank message ops in stream order (receives only when matched).
-  /// Halves logged on a rank outside [0, nranks) get no op; they still
-  /// count in `msgs` and `unmatched_recvs`.
   std::vector<std::vector<MsgOp>> ops;
   /// Sends still in flight at end of trace (unreceived), FIFO per key.
   /// Keys whose FIFO drained to empty remain present — iteration order over
@@ -71,19 +69,19 @@ struct MsgGraph {
 };
 
 /// Pass 1: match sends with receives (FIFO per sender/receiver/tag) over the
-/// trace's steps in stream order. `nranks_floor` widens the rank vector (a
-/// caller may want more ranks than the trace observed).
-MsgGraph match_messages(const Trace& trace, int nranks_floor = 0);
+/// trace's steps in stream order, with one op list per rank of the trace.
+MsgGraph match_messages(const Trace& trace);
 
-/// The same matching straight from a parsed file, for callers that hold no
-/// Trace: one walk over the records keeps the message halves (and the rank
-/// count a Trace would observe), then the matcher above runs on them.
+/// The same matching straight from a file, for callers that hold no Trace:
+/// one walk over the records applies the Trace build's rank check (throwing
+/// util::IoError alike) and keeps the message halves, then the matcher
+/// above runs on them. `nranks_floor` widens the rank vector past the
+/// header's count.
 MsgGraph match_messages(const clog2::File& file, int nranks_floor = 0);
 
 /// Pass 2: stamp vector clocks over the matched order. Returns true when the
 /// matched messages formed a causal cycle and stamping was forced through
-/// (stamps are approximate from the first forced receive on). A send with no
-/// op (logged on a rank outside [0, nranks)) is stamped with the zero clock.
+/// (stamps are approximate from the first forced receive on).
 bool stamp_clocks(MsgGraph& graph);
 
 /// Runs the serial stamp_clocks(graph) above; `threads` is ignored. Kept

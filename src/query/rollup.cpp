@@ -13,31 +13,6 @@ namespace {
 // so the shards run inline on the caller.
 constexpr std::size_t kParallelGrain = std::size_t{64} * 1024;
 
-/// One step of the state-duration sweep — shared by the per-rank shards and
-/// the out-of-range leftover pass.
-void sweep_state_step(
-    const Trace& trace, const Step& s,
-    std::map<std::pair<int, std::int32_t>, std::vector<double>>& open,
-    StateDurations& out) {
-  if (s.kind != StepKind::kEvent) return;
-  const StateEvent* se = trace.state_event(s.event_id);
-  if (se == nullptr) return;  // solo bubble
-  const std::pair<int, std::int32_t> key{s.rank, se->state_id};
-  auto& stack = open[key];
-  if (se->is_start) {
-    stack.push_back(s.time);
-    return;
-  }
-  if (stack.empty()) return;  // orphan end — the checker's business
-  const double t0 = stack.back();
-  stack.pop_back();
-  const double dur = std::max(0.0, s.time - t0);
-  StateStats& stats = out.by_rank_state[key];
-  ++stats.count;
-  stats.total_seconds += dur;
-  ++stats.histogram[duration_bucket(dur)];
-}
-
 }  // namespace
 
 std::size_t duration_bucket(double seconds) {
@@ -69,21 +44,29 @@ StateDurations state_durations(const Trace& trace, int threads) {
   std::vector<StateDurations> shard(by_rank.size());
   util::parallel_for(by_rank.size(), nworkers, [&](std::size_t r) {
     std::map<std::pair<int, std::int32_t>, std::vector<double>> open;
-    for (std::size_t i : by_rank[r])
-      sweep_state_step(trace, trace.steps()[i], open, shard[r]);
+    for (std::size_t i : by_rank[r]) {
+      const Step& s = trace.steps()[i];
+      if (s.kind != StepKind::kEvent) continue;
+      const StateEvent* se = trace.state_event(s.event_id);
+      if (se == nullptr) continue;  // solo bubble
+      const std::pair<int, std::int32_t> key{s.rank, se->state_id};
+      auto& stack = open[key];
+      if (se->is_start) {
+        stack.push_back(s.time);
+        continue;
+      }
+      if (stack.empty()) continue;  // orphan end — the checker's business
+      const double t0 = stack.back();
+      stack.pop_back();
+      const double dur = std::max(0.0, s.time - t0);
+      StateStats& stats = shard[r].by_rank_state[key];
+      ++stats.count;
+      stats.total_seconds += dur;
+      ++stats.histogram[duration_bucket(dur)];
+    }
   });
 
   StateDurations out;
-  // Steps whose rank sits outside [0, nranks) are absent from by_rank();
-  // sweep them on the side — their keys are disjoint from every shard's.
-  std::size_t covered = 0;
-  for (const auto& v : by_rank) covered += v.size();
-  if (covered != trace.steps().size()) {
-    std::map<std::pair<int, std::int32_t>, std::vector<double>> open;
-    for (const Step& s : trace.steps())
-      if (s.rank < 0 || s.rank >= trace.nranks())
-        sweep_state_step(trace, s, open, out);
-  }
   for (auto& sd : shard)
     out.by_rank_state.insert(sd.by_rank_state.begin(), sd.by_rank_state.end());
   return out;

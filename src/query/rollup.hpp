@@ -43,8 +43,7 @@ struct StateDurations {
 /// The rollup of `trace`, sharded per rank across `threads` workers (0 =
 /// hardware). Keys are (rank, state), so shards own disjoint key sets, and
 /// within one rank the sweep replays the rank's steps in stream order — the
-/// result is byte-identical at any worker count. Steps whose rank falls
-/// outside [0, nranks) are swept on the side, in stream order.
+/// result is byte-identical at any worker count.
 StateDurations state_durations(const Trace& trace, int threads = 1);
 
 struct EdgeStats {

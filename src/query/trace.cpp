@@ -1,8 +1,10 @@
 #include "query/trace.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <variant>
 
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace query {
@@ -52,18 +54,22 @@ Step message_step(const clog2::MsgRec& m) {
   return s;
 }
 
-Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
+Trace::Trace(const clog2::File& file, int threads)
+    : file_(&file), nranks_(file.nranks) {
+  clog2::check_nranks(nranks_);
   const int nworkers = util::resolve_threads(threads);
   const std::size_t nrec = file.records.size();
   const std::size_t nchunks = (nrec + kRecordChunk - 1) / kRecordChunk;
 
-  // Pass 1: per-chunk step counts, rank ratchets, and definition record
-  // pointers. Pass 2 commits each chunk's steps into its prefix-summed
-  // slot range; definitions then apply serially in chunk (= record) order,
+  // Pass 1: per-chunk step counts, rank checks, and definition record
+  // pointers. A chunk stops at its first out-of-range record, and the
+  // lowest such record throws, so the error is the same at any worker
+  // count. Pass 2 commits each chunk's steps into its prefix-summed slot
+  // range; definitions then apply serially in chunk (= record) order,
   // preserving the maps' last-wins insertion order.
   struct ChunkScan {
     std::size_t nsteps = 0;
-    int max_rank = -1;
+    std::exception_ptr bad_rank;
     std::vector<const clog2::Record*> defs;
   };
   std::vector<ChunkScan> scans(nchunks);
@@ -73,25 +79,23 @@ Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
     ChunkScan& sc = scans[c];
     for (std::size_t i = lo; i < hi; ++i) {
       const clog2::Record& rec = file.records[i];
-      if (const auto* ev = std::get_if<clog2::EventRec>(&rec)) {
-        sc.max_rank = std::max(sc.max_rank, ev->rank);
-        ++sc.nsteps;
-      } else if (const auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-        sc.max_rank = std::max(sc.max_rank, m->rank);
-        ++sc.nsteps;
-      } else if (std::holds_alternative<clog2::SyncRec>(rec)) {
-        ++sc.nsteps;
-      } else if (std::holds_alternative<clog2::StateDef>(rec) ||
-                 std::holds_alternative<clog2::EventDef>(rec)) {
-        sc.defs.push_back(&rec);
+      try {
+        clog2::check_ranks(rec, nranks_, i);
+      } catch (const util::IoError&) {
+        sc.bad_rank = std::current_exception();
+        return;
       }
+      if (std::holds_alternative<clog2::StateDef>(rec) ||
+          std::holds_alternative<clog2::EventDef>(rec))
+        sc.defs.push_back(&rec);
+      else if (!std::holds_alternative<clog2::ConstDef>(rec))
+        ++sc.nsteps;
     }
   });
-  int max_rank = file.nranks - 1;
   std::vector<std::size_t> offset(nchunks + 1, 0);
   for (std::size_t c = 0; c < nchunks; ++c) {
+    if (scans[c].bad_rank) std::rethrow_exception(scans[c].bad_rank);
     offset[c + 1] = offset[c] + scans[c].nsteps;
-    max_rank = std::max(max_rank, scans[c].max_rank);
   }
   steps_.resize(offset[nchunks]);
   util::parallel_for(nchunks, nworkers, [&](std::size_t c) {
@@ -116,7 +120,6 @@ Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
       }
     }
   }
-  nranks_ = max_rank + 1;
 
   // The span deliberately covers events and message halves only — sync
   // records are bookkeeping, and the stall accounting (TC203) measures the
@@ -133,7 +136,6 @@ Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
       t_max_ = std::max(t_max_, s.time);
     }
   }
-  if (nranks_ <= 0) return;
 
   // Per-rank index lists by a counting sort: per-(chunk, rank) counts, a
   // per-rank prefix sum across chunks (turning each count row into that
@@ -145,10 +147,8 @@ Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
   util::parallel_for(nstep_chunks, nworkers, [&](std::size_t c) {
     const std::size_t lo = c * kRecordChunk;
     const std::size_t hi = std::min(steps_.size(), lo + kRecordChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::int32_t r = steps_[i].rank;
-      if (r >= 0 && r < nranks_) ++counts[c][static_cast<std::size_t>(r)];
-    }
+    for (std::size_t i = lo; i < hi; ++i)
+      ++counts[c][static_cast<std::size_t>(steps_[i].rank)];
   });
   by_rank_.resize(nr);
   for (std::size_t r = 0; r < nr; ++r) {
@@ -164,10 +164,8 @@ Trace::Trace(const clog2::File& file, int threads) : file_(&file) {
     const std::size_t lo = c * kRecordChunk;
     const std::size_t hi = std::min(steps_.size(), lo + kRecordChunk);
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::int32_t r = steps_[i].rank;
-      if (r >= 0 && r < nranks_)
-        by_rank_[static_cast<std::size_t>(r)]
-                [counts[c][static_cast<std::size_t>(r)]++] = i;
+      const auto r = static_cast<std::size_t>(steps_[i].rank);
+      by_rank_[r][counts[c][r]++] = i;
     }
   });
 }

@@ -340,40 +340,39 @@ void assemble(File& out, Collected items, bool any_instance,
     std::array<std::vector<std::string>, 3> kind_warns;
     std::array<std::uint64_t, 3> kind_counts{};
     util::parallel_for(std::size_t{3}, nthreads, [&](std::size_t kind) {
-      auto note = [&](const std::string& msg) {
-        if (kind_warns[kind].size() < kMaxWarningMessages)
-          kind_warns[kind].push_back(msg);
+      // Counts one duplicate; true while its message still fits under the
+      // cap, so a message is formatted only when it is kept.
+      const auto count_duplicate = [&] {
+        ++kind_counts[kind];
+        return kind_warns[kind].size() < kMaxWarningMessages;
       };
       if (kind == 0) {
         std::set<std::tuple<std::int32_t, std::int32_t, double, double>> seen;
         for (const auto& a : items.arrows)
           if (!seen.insert({a.src_rank, a.dst_rank, a.start_time, a.end_time})
-                   .second) {
-            ++kind_counts[kind];
-            note(util::strprintf(
+                   .second &&
+              count_duplicate())
+            kind_warns[kind].push_back(util::strprintf(
                 "Equal Drawables: arrows %d->%d share start=%.9f end=%.9f",
                 a.src_rank, a.dst_rank, a.start_time, a.end_time));
-          }
       } else if (kind == 1) {
         std::set<std::tuple<std::int32_t, std::int32_t, double, double>> seen;
         for (const auto& s : items.states)
           if (!seen.insert({s.category_id, s.rank, s.start_time, s.end_time})
-                   .second) {
-            ++kind_counts[kind];
-            note(util::strprintf(
+                   .second &&
+              count_duplicate())
+            kind_warns[kind].push_back(util::strprintf(
                 "Equal Drawables: states cat=%d rank=%d share start=%.9f "
                 "end=%.9f",
                 s.category_id, s.rank, s.start_time, s.end_time));
-          }
       } else {
         std::set<std::tuple<std::int32_t, std::int32_t, double>> seen;
         for (const auto& e : items.events)
-          if (!seen.insert({e.category_id, e.rank, e.time}).second) {
-            ++kind_counts[kind];
-            note(util::strprintf(
+          if (!seen.insert({e.category_id, e.rank, e.time}).second &&
+              count_duplicate())
+            kind_warns[kind].push_back(util::strprintf(
                 "Equal Drawables: events cat=%d rank=%d share t=%.9f",
                 e.category_id, e.rank, e.time));
-          }
       }
     });
     for (std::size_t kind = 0; kind < 3; ++kind) {

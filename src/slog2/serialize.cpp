@@ -246,6 +246,11 @@ detail::Directory read_directory(util::ByteReader& r, const ReadOptions& ro) {
         "reader was forced to %s",
         to_string(h.encoding), to_string(*ro.require_encoding)));
   h.nranks = r.i32();
+  // Every per-rank table a reader builds is sized by this count; CLOG-2's
+  // bound keeps a hostile header from asking for gigabytes.
+  if (h.nranks < 0 || h.nranks > clog2::kMaxRanks)
+    throw util::IoError(util::strprintf("slog2: rank count %d outside [0, %d]",
+                                        h.nranks, clog2::kMaxRanks));
   h.t_min = r.f64();
   h.t_max = r.f64();
   h.frame_size = r.u64();

@@ -48,9 +48,9 @@ struct RankState {
 
 clog2::File generate(const Options& opts) {
   if (opts.nranks < 1) throw util::UsageError("tracegen: nranks must be >= 1");
-  if (opts.nranks > kMaxRanks)
+  if (opts.nranks > clog2::kMaxRanks)
     throw util::UsageError(util::strprintf(
-        "tracegen: nranks must be <= %d (got %d)", kMaxRanks, opts.nranks));
+        "tracegen: nranks must be <= %d (got %d)", clog2::kMaxRanks, opts.nranks));
   if (opts.state_categories < 1)
     throw util::UsageError("tracegen: need at least one state category");
   if (opts.max_depth < 1) throw util::UsageError("tracegen: max_depth must be >= 1");

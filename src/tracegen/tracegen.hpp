@@ -18,16 +18,9 @@
 
 namespace tracegen {
 
-/// Largest world the generator accepts. Per-rank state is a few hundred
-/// bytes (RNG stream, open-state stack, pending-message heap), so 16384
-/// ranks stay within a few MB while comfortably covering the 10k-rank
-/// task-substrate sweeps; a larger request is almost always a typo'd
-/// --ranks and would silently eat memory in the per-rank tables instead.
-inline constexpr std::int32_t kMaxRanks = 16384;
-
 struct Options {
   std::uint64_t seed = 1;
-  std::int32_t nranks = 8;
+  std::int32_t nranks = 8;  ///< 1..clog2::kMaxRanks
   /// Instance records (event + message halves) to emit — a floor: the
   /// generator then closes still-open states and delivers in-flight
   /// messages, so every send has a receive and every state an end.

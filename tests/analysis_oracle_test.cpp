@@ -5,12 +5,13 @@
 //     overload that forwards to it, equal the record-walking matcher field
 //     for field (messages, stamps after stamp_clocks, per-rank ops, the
 //     unreceived FIFOs in key order, unmatched receive counts), on the
-//     shared analysis corpus and on hand-built edge cases: partners outside
-//     the rank range, receives with no send, receives logged before their
-//     send, a rank floor above the logged ranks;
-//   * message halves on a negative rank count as messages and unmatched
-//     receives but get no per-rank op, and check_trace and diff_traces
-//     report on such a file instead of writing out of bounds;
+//     shared analysis corpus and on hand-built edge cases: receives with no
+//     send, receives logged before their send, a rank floor above the
+//     header's count;
+//   * a record whose rank or partner falls outside the header's range is a
+//     named util::IoError with the same text from parse(), StreamReader,
+//     stream_text, the Trace build at any thread count, match_messages,
+//     check_trace and diff_traces;
 //   * diff_traces' in-place step comparison finds the same first
 //     divergence on every rank, with the same shape, as comparing the
 //     projections' key strings, including texts that differ only in float
@@ -30,6 +31,7 @@
 #include "query/clocks.hpp"
 #include "query/trace.hpp"
 #include "query_oracle.hpp"
+#include "util/error.hpp"
 #include "util/fs.hpp"
 
 namespace {
@@ -71,22 +73,71 @@ void expect_same_graph(const query::MsgGraph& want, const query::MsgGraph& got,
   EXPECT_EQ(got.unmatched_recvs, want.unmatched_recvs) << what;
 }
 
-/// Both match_messages overloads against the oracle, before and after
-/// stamping, at the file's own rank count and at a wider floor.
+/// `got` equals the oracle's `want`, before and after both are stamped.
+void expect_same_stamped(query::MsgGraph want, query::MsgGraph got,
+                         const std::string& what) {
+  expect_same_graph(want, got, what);
+  const bool cycle = query::stamp_clocks(want);
+  EXPECT_EQ(query::stamp_clocks(got), cycle) << what;
+  expect_same_graph(want, got, what + " (stamped)");
+}
+
+/// Both match_messages overloads against the oracle: the Trace overload at
+/// the file's own rank count, the File overload at that count and at a
+/// wider floor.
 void expect_matcher_matches_oracle(const clog2::File& f, const std::string& what) {
-  const query::Trace trace(f);
-  for (const int floor : {0, trace.nranks() + 3}) {
-    const std::string at = what + " floor " + std::to_string(floor);
-    query::MsgGraph want = query_oracle::match_messages(f, floor);
-    query::MsgGraph from_trace = query::match_messages(trace, floor);
-    query::MsgGraph from_file = query::match_messages(f, floor);
-    expect_same_graph(want, from_trace, at + " (Trace)");
-    expect_same_graph(want, from_file, at + " (File)");
-    const bool cycle = query::stamp_clocks(want);
-    EXPECT_EQ(query::stamp_clocks(from_trace), cycle) << at;
-    EXPECT_EQ(query::stamp_clocks(from_file), cycle) << at;
-    expect_same_graph(want, from_trace, at + " (Trace, stamped)");
-    expect_same_graph(want, from_file, at + " (File, stamped)");
+  expect_same_stamped(query_oracle::match_messages(f),
+                      query::match_messages(query::Trace(f)), what + " (Trace)");
+  for (const int floor : {0, f.nranks + 3})
+    expect_same_stamped(query_oracle::match_messages(f, floor),
+                        query::match_messages(f, floor),
+                        what + " (File) floor " + std::to_string(floor));
+}
+
+/// The util::IoError text `fn` throws, or "" when it returns.
+template <typename Fn>
+std::string error_of(const Fn& fn) {
+  try {
+    fn();
+  } catch (const util::IoError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `f` breaks the rank language: every reader and every in-memory entry
+/// point rejects it with the same `want` text, at 1 and 4 threads.
+void expect_rejected_everywhere(const clog2::File& f, const std::string& want) {
+  const std::vector<std::uint8_t> bytes = clog2::serialize(f);
+  EXPECT_EQ(error_of([&] { clog2::parse(bytes); }), want) << "parse";
+  EXPECT_EQ(error_of([&] {
+              clog2::StreamReader reader;
+              reader.feed(bytes.data(), bytes.size());
+              clog2::Record rec;
+              while (reader.next(&rec) == clog2::StreamReader::Status::kRecord) {
+              }
+            }),
+            want)
+      << "StreamReader";
+  util::TempDir dir;
+  util::write_file(dir.file("f.clog2"), bytes);
+  EXPECT_EQ(error_of([&] {
+              clog2::stream_text(dir.file("f.clog2"), [](const std::string&) {});
+            }),
+            want)
+      << "stream_text";
+  EXPECT_EQ(error_of([&] { query::match_messages(f); }), want) << "match_messages";
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(error_of([&] { const query::Trace t(f, threads); }), want)
+        << "Trace at " << threads;
+    analyze::TraceCheckOptions co;
+    co.threads = threads;
+    EXPECT_EQ(error_of([&] { analyze::check_trace(f, co); }), want)
+        << "check_trace at " << threads;
+    analyze::TraceDiffOptions dopts;
+    dopts.threads = threads;
+    EXPECT_EQ(error_of([&] { analyze::diff_traces(f, f, dopts); }), want)
+        << "diff_traces at " << threads;
   }
 }
 
@@ -135,10 +186,6 @@ clog2::File matcher_edge_cases() {
       // A receive logged a hair before its send (clock correction skew).
       clog2::MsgRec{0.010, 1, Kind::kRecv, 0, 3, 8},
       clog2::MsgRec{0.011, 0, Kind::kSend, 1, 3, 8},
-      // Partners outside [0, nranks), on both halves.
-      clog2::MsgRec{0.020, 0, Kind::kSend, 99, 4, 16},
-      clog2::MsgRec{0.021, 2, Kind::kSend, -4, 4, 16},
-      clog2::MsgRec{0.022, 1, Kind::kRecv, 77, 4, 16},
       // Receives with no send on their key at all, and one more receive
       // than its key has sends.
       clog2::MsgRec{0.030, 2, Kind::kRecv, 0, 5, 1},
@@ -158,7 +205,7 @@ clog2::File matcher_edge_cases() {
   return f;
 }
 
-/// Message halves on rank -1 (the CLOG-2 reader accepts any i32 rank).
+/// Message halves on rank -1; record 2 is the first out-of-range one.
 clog2::File negative_rank_trace() {
   clog2::File f;
   f.nranks = 2;
@@ -178,8 +225,7 @@ clog2::File negative_rank_trace() {
 }
 
 /// Rank 0 receives from rank 1, then from rank -1, on one tag: a fan-in
-/// round (and a wildcard-race group) whose first send has an op and whose
-/// second has none.
+/// round (and a wildcard-race group) whose second send is out of range.
 clog2::File negative_rank_fan_in_trace() {
   clog2::File f;
   f.nranks = 2;
@@ -219,11 +265,8 @@ TEST(QueryClocks, TraceMatcherEqualsRecordOracleOnEdgeCases) {
   const clog2::File f = matcher_edge_cases();
   expect_matcher_matches_oracle(f, "edge cases");
   const query::MsgGraph g = query::match_messages(query::Trace(f));
-  EXPECT_EQ(g.unmatched_recvs.at({77, 1, 4}), 1u);
   EXPECT_EQ(g.unmatched_recvs.at({0, 2, 5}), 2u);
   EXPECT_EQ(g.unmatched_recvs.at({0, 2, 6}), 1u);
-  EXPECT_EQ(g.unreceived.at({0, 99, 4}).size(), 1u);
-  EXPECT_EQ(g.unreceived.at({2, -4, 4}).size(), 1u);
   EXPECT_EQ(g.unreceived.at({1, 0, 7}).size(), 1u);
   EXPECT_TRUE(g.unreceived.at({0, 1, 3}).empty());
   EXPECT_TRUE(g.msgs[0].matched);  // the receive logged before its send
@@ -235,66 +278,73 @@ TEST(QueryClocks, TraceMatcherEqualsRecordOracleOnEdgeCases) {
   expect_matcher_matches_oracle(defs_only, "definitions only");
 }
 
-TEST(QueryClocks, NegativeRankHalvesCountButGetNoOp) {
-  const clog2::File f = negative_rank_trace();
-  for (query::MsgGraph g :
-       {query::match_messages(query::Trace(f)), query::match_messages(f)}) {
-    EXPECT_EQ(g.nranks, 2);
-    // Sends from -1, 0 and 1; the first two are matched.
-    ASSERT_EQ(g.msgs.size(), 3u);
-    EXPECT_EQ(g.msgs[0].sender, -1);
-    EXPECT_TRUE(g.msgs[0].matched);
-    EXPECT_EQ(g.msgs[1].receiver, -1);
-    EXPECT_TRUE(g.msgs[1].matched);
-    EXPECT_TRUE(g.msgs[2].matched);
-    EXPECT_EQ(g.unmatched_recvs.at({1, -1, 5}), 1u);
-    // Only halves on ranks 0 and 1 become ops: rank 0 receives msg 0,
-    // sends msg 1, receives msg 2; rank 1 sends msg 2.
-    ASSERT_EQ(g.ops.size(), 2u);
-    ASSERT_EQ(g.ops[0].size(), 3u);
-    EXPECT_EQ(g.ops[0][0].msg, 0u);
-    EXPECT_EQ(g.ops[0][1].msg, 1u);
-    EXPECT_EQ(g.ops[0][2].msg, 2u);
-    ASSERT_EQ(g.ops[1].size(), 1u);
-    EXPECT_EQ(g.ops[1][0].msg, 2u);
-    // The send on rank -1 has no op; it gets the zero clock, and rank 0's
-    // receive of it is stamped without a causal cycle.
-    EXPECT_FALSE(query::stamp_clocks(g));
-    for (const query::MatchedMsg& m : g.msgs) {
-      EXPECT_TRUE(m.stamped);
-      EXPECT_EQ(m.send_stamp.size(), 2u);
-    }
-    EXPECT_EQ(g.msgs[0].send_stamp, (query::Clock{0, 0}));
-    EXPECT_EQ(g.msgs[0].recv_stamp, (query::Clock{1, 0}));
+TEST(QueryClocks, OutOfRangeRanksAreRejectedAtEveryEntry) {
+  // Partners outside [0, nranks), on both halves (negative message ranks:
+  // the TraceCheck tests below).
+  for (const auto& [m, want] :
+       {std::pair{clog2::MsgRec{0.020, 0, Kind::kSend, 99, 4, 16},
+                  "clog2: record 2: partner 99 outside [0, 3)"},
+        std::pair{clog2::MsgRec{0.021, 2, Kind::kSend, -4, 4, 16},
+                  "clog2: record 2: partner -4 outside [0, 3)"},
+        std::pair{clog2::MsgRec{0.022, 1, Kind::kRecv, 77, 4, 16},
+                  "clog2: record 2: partner 77 outside [0, 3)"}}) {
+    clog2::File f;
+    f.nranks = 3;
+    f.records = {clog2::StateDef{1, 11, 12, "Compute", "gray", ""},
+                 clog2::SyncRec{0, 0.0, 0.0}, m};
+    expect_rejected_everywhere(f, want);
   }
+  // Event and sync ranks are held to the same range.
+  clog2::File f;
+  f.nranks = 2;
+  f.records = {clog2::EventRec{0.1, 2, 11, ""}};
+  expect_rejected_everywhere(f, "clog2: record 0: rank 2 outside [0, 2)");
+  f.records = {clog2::SyncRec{-1, 0.0, 0.0}};
+  expect_rejected_everywhere(f, "clog2: record 0: rank -1 outside [0, 2)");
+  // Header counts below zero or above kMaxRanks.
+  f.records.clear();
+  for (const std::int32_t n : {-1, clog2::kMaxRanks + 1}) {
+    f.nranks = n;
+    expect_rejected_everywhere(
+        f, "clog2: rank count " + std::to_string(n) + " outside [0, 16384]");
+  }
+  f.nranks = clog2::kMaxRanks;
+  EXPECT_EQ(query::Trace(f).nranks(), clog2::kMaxRanks);
 }
 
-TEST(TraceCheck, NegativeRankMessageGivesAReport) {
-  const analyze::Report rep = analyze::check_trace(negative_rank_trace());
-  EXPECT_TRUE(rep.has("TC102")) << rep.to_text();
-  EXPECT_FALSE(rep.has("TC104")) << rep.to_text();
+TEST(QueryTrace, OutOfRangeRankErrorIsTheSameAtAnyThreadCount) {
+  // Bad records in three 64K-record shards of the build: whichever shard a
+  // worker finishes first, the lowest record index is the one reported.
+  clog2::File f;
+  f.nranks = 2;
+  f.records.assign(4 * 65536, clog2::EventRec{0.5, 1, 11, ""});
+  f.records[70000] = clog2::EventRec{0.5, 5, 11, ""};
+  f.records[150000] = clog2::MsgRec{0.5, 0, Kind::kSend, -1, 3, 8};
+  f.records[200000] = clog2::SyncRec{-3, 0.0, 0.0};
+  for (const int threads : {1, 2, 4, 0})
+    EXPECT_EQ(error_of([&] { const query::Trace t(f, threads); }),
+              "clog2: record 70000: rank 5 outside [0, 2)")
+        << threads << " threads";
 }
 
-TEST(TraceCheck, NegativeRankSendAfterValidSendGivesAReport) {
-  // TC201 and TC202 compare the two sends of each round; the valid one
-  // comes first, so an unstamped -1 send would be read past its end.
-  const analyze::Report rep = analyze::check_trace(negative_rank_fan_in_trace());
-  EXPECT_FALSE(rep.has("TC104")) << rep.to_text();
-  EXPECT_FALSE(rep.has("TC201")) << rep.to_text();
-  EXPECT_FALSE(rep.has("TC202")) << rep.to_text();
+TEST(TraceCheck, NegativeRankMessageIsRejected) {
+  expect_rejected_everywhere(negative_rank_trace(),
+                             "clog2: record 2: rank -1 outside [0, 2)");
 }
 
-TEST(TraceDiff, NegativeRankMessageGivesAReport) {
+TEST(TraceCheck, NegativeRankSendAfterValidSendIsRejected) {
+  expect_rejected_everywhere(negative_rank_fan_in_trace(),
+                             "clog2: record 1: rank -1 outside [0, 2)");
+}
+
+TEST(TraceDiff, NegativeRankMessageIsRejected) {
   const clog2::File f = negative_rank_trace();
-  const analyze::TraceDiffResult self = analyze::diff_traces(f, f);
-  EXPECT_FALSE(self.diverged()) << self.report.to_text();
   const clog2::File clean = clog2::read_file(fixture("diffpair.a.clog2"));
-  const analyze::TraceDiffResult res = analyze::diff_traces(clean, f);
-  EXPECT_TRUE(res.structural_diverged);
-  EXPECT_TRUE(res.report.has("TD102")) << res.report.to_text();
-  const clog2::File fan_in = negative_rank_fan_in_trace();
-  EXPECT_FALSE(analyze::diff_traces(fan_in, fan_in).diverged());
-  EXPECT_TRUE(analyze::diff_traces(f, fan_in).structural_diverged);
+  const std::string want = "clog2: record 2: rank -1 outside [0, 2)";
+  EXPECT_EQ(error_of([&] { analyze::diff_traces(clean, f); }), want);
+  EXPECT_EQ(error_of([&] { analyze::diff_traces(f, clean); }), want);
+  EXPECT_EQ(error_of([&] { analyze::diff_traces(f, negative_rank_fan_in_trace()); }),
+            want);
 }
 
 TEST(TraceDiff, InPlaceComparisonEqualsKeyStringOracleOnCorpus) {

@@ -10,9 +10,12 @@
 //   * tool level: pilot-clog2print / pilot-slog2print / pilot-replayprint
 //     exit nonzero with a diagnostic exactly when the library rejects the
 //     bytes, and never die on a signal;
+//   * hostile rank counts in either header are one named error from every
+//     reader;
 //   * mpe::salvage tolerates torn and corrupted spill streams (that is its
-//     job), and pilot-logsalvage refuses an empty spill set loudly instead
-//     of writing a hollow trace.
+//     job), writes a header that covers every rank and partner it keeps,
+//     and pilot-logsalvage refuses an empty spill set loudly instead of
+//     writing a hollow trace.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -26,6 +29,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clog2/clog2.hpp"
@@ -364,6 +368,81 @@ TEST(FuzzParsers, HostileV2CountsRejected) {
   }
 }
 
+// Hostile rank counts in both headers. Every reader rejects each with the
+// same named error before anything is sized by it; unchecked, the count
+// reached per-rank tables downstream and died in std::bad_alloc.
+TEST(FuzzParsers, HostileRankCountsRejected) {
+  const auto with_nranks = [](std::vector<std::uint8_t> bytes, std::size_t at,
+                              std::int32_t n) {
+    const auto u = static_cast<std::uint32_t>(n);
+    for (std::size_t i = 0; i < 4; ++i)
+      bytes[at + i] = static_cast<std::uint8_t>(u >> (8 * i));
+    return bytes;
+  };
+  util::TempDir dir;
+  const auto path = dir.file("hostile.bin");
+  std::string text;
+  for (const std::int32_t n : {-1, clog2::kMaxRanks + 1, 50000000,
+                               std::numeric_limits<std::int32_t>::max()}) {
+    SCOPED_TRACE("nranks " + std::to_string(n));
+    // CLOG-2: nranks follows the magic and the version word. The fixture,
+    // and a header with no records at all.
+    const std::string clog2_want = "rejected: clog2: rank count " +
+                                   std::to_string(n) + " outside [0, 16384]";
+    for (const auto& bytes : {with_nranks(load("tiny.clog2"), 12, n),
+                              with_nranks(clog2::serialize(clog2::File{}), 12, n)}) {
+      EXPECT_EQ(verdict([&] { return clog2::to_text(clog2::parse(bytes)); }, &text),
+                clog2_want);
+      EXPECT_EQ(verdict(
+                    [&] {
+                      clog2::StreamReader reader;
+                      reader.feed(bytes.data(), bytes.size());
+                      clog2::Record rec;
+                      while (reader.next(&rec) ==
+                             clog2::StreamReader::Status::kRecord) {
+                      }
+                      return std::string();
+                    },
+                    &text),
+                clog2_want);
+      util::write_file(path, bytes);
+      EXPECT_EQ(verdict(
+                    [&] {
+                      clog2::stream_text(path, [](const std::string&) {});
+                      return std::string();
+                    },
+                    &text),
+                clog2_want);
+    }
+    // SLOG-2: nranks follows the version word, and in v2 the encoding byte.
+    const std::string slog2_want = "rejected: slog2: rank count " +
+                                   std::to_string(n) + " outside [0, 16384]";
+    for (const auto& [name, at] :
+         {std::pair{"tiny.slog2", 12}, std::pair{"tiny.v2.slog2", 13}}) {
+      SCOPED_TRACE(name);
+      const auto bytes = with_nranks(load(name), static_cast<std::size_t>(at), n);
+      EXPECT_EQ(verdict([&] { return slog2::to_text(slog2::parse(bytes), true); },
+                        &text),
+                slog2_want);
+      EXPECT_EQ(verdict(
+                    [&] {
+                      const slog2::Navigator nav(bytes);
+                      return std::string();
+                    },
+                    &text),
+                slog2_want);
+      util::write_file(path, bytes);
+      EXPECT_EQ(verdict(
+                    [&] {
+                      slog2::stream_text(path, true, [](const std::string&) {});
+                      return std::string();
+                    },
+                    &text),
+                slog2_want);
+    }
+  }
+}
+
 TEST(FuzzParsers, PrlSurvivesTruncationAndBitFlips) {
   fuzz_format("tiny.prl",
               [](const std::vector<std::uint8_t>& b) { replay::parse(b); });
@@ -518,9 +597,11 @@ TEST(FuzzSalvage, ToleratesTornAndCorruptedSpills) {
     ASSERT_NO_THROW(got = mpe::salvage(dir.file("s").string()));
     EXPECT_LE(got.count<clog2::EventRec>() + got.count<clog2::MsgRec>(),
               whole_count);
+    EXPECT_NO_THROW(clog2::parse(clog2::serialize(got)));
   }
   // Bit flips may corrupt a record mid-stream; salvage must still come back
-  // with a File (possibly shorter), never crash.
+  // with a File (possibly shorter) that the checked reader accepts, never
+  // crash.
   for (const std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80},
                                   std::uint8_t{0xff}}) {
     for (std::size_t i = 0; i < rank0.size(); ++i) {
@@ -530,13 +611,44 @@ TEST(FuzzSalvage, ToleratesTornAndCorruptedSpills) {
       mutated[i] ^= mask;
       util::write_file(dir.file("s.rank0.spill"), mutated);
       try {
-        mpe::salvage(dir.file("s").string());
+        const clog2::File got = mpe::salvage(dir.file("s").string());
+        EXPECT_NO_THROW(clog2::parse(clog2::serialize(got)));
       } catch (const util::Error&) {
         // A corrupted definition/record the salvager cannot skip is allowed
         // to fail loudly — just never crash or hang.
       }
     }
   }
+}
+
+TEST(FuzzSalvage, HeaderCoversEveryKeptRankAndPartner) {
+  using Kind = clog2::MsgRec::Kind;
+  util::TempDir dir;
+  const auto spill = [&](const std::string& suffix,
+                         const std::vector<clog2::Record>& records) {
+    util::ByteWriter w;
+    for (const clog2::Record& rec : records) clog2::append_record(w, rec);
+    util::write_file(dir.file("h" + suffix), w.bytes());
+  };
+  spill(".defs.spill", {clog2::EventDef{1, "ping", "green", ""}});
+  // Rank 0 sends to rank 3, which never logged a record (no spill file).
+  spill(".rank0.spill", {clog2::EventRec{0.1, 0, 1, ""},
+                         clog2::MsgRec{0.2, 0, Kind::kSend, 3, 7, 8}});
+  // A record logged under another rank ends rank 1's stream, like a torn
+  // tail...
+  spill(".rank1.spill", {clog2::EventRec{0.1, 1, 1, ""},
+                         clog2::EventRec{0.2, 5, 1, ""},
+                         clog2::EventRec{0.3, 1, 1, ""}});
+  // ...and so does a partner no header could cover.
+  spill(".rank2.spill", {clog2::EventRec{0.1, 2, 1, ""},
+                         clog2::MsgRec{0.2, 2, Kind::kSend, clog2::kMaxRanks, 7, 8},
+                         clog2::EventRec{0.3, 2, 1, ""}});
+  const clog2::File f = mpe::salvage(dir.file("h").string());
+  EXPECT_EQ(f.nranks, 4);
+  EXPECT_EQ(f.count<clog2::EventRec>(), 3u);
+  EXPECT_EQ(f.count<clog2::MsgRec>(), 1u);
+  const clog2::File back = clog2::parse(clog2::serialize(f));
+  EXPECT_EQ(clog2::to_text(back), clog2::to_text(f));
 }
 
 TEST(FuzzSalvage, LogsalvageToolRefusesEmptyAndAcceptsFixture) {

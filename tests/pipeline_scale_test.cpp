@@ -100,12 +100,12 @@ TEST(PipelineScale, TracegenRejectsOutOfRangeRanks) {
   tracegen::Options opts;
   opts.nranks = 0;
   EXPECT_THROW(tracegen::generate(opts), util::UsageError);
-  opts.nranks = tracegen::kMaxRanks + 1;
+  opts.nranks = clog2::kMaxRanks + 1;
   EXPECT_THROW(tracegen::generate(opts), util::UsageError);
   // The cap itself is usable — a tiny event budget keeps this instant.
-  opts.nranks = tracegen::kMaxRanks;
+  opts.nranks = clog2::kMaxRanks;
   opts.events = 10;
-  EXPECT_EQ(tracegen::generate(opts).nranks, tracegen::kMaxRanks);
+  EXPECT_EQ(tracegen::generate(opts).nranks, clog2::kMaxRanks);
 }
 
 TEST(PipelineScale, TracegenOutputIsTimeOrderedAndClean) {

@@ -53,9 +53,11 @@ TSAN_OPTIONS="halt_on_error=1" \
   -R 'Replay|Prl|CrossCheck|Mpisim|Fault|ChaosMatrix|PipelineScale\.|TasksSubstrate\.|TraceDiffLocalize\.|Traced\.|V2Codec|V2Differential|V2Online|TraceDigest|QueryParallel\.|FrameCacheConcurrency' "$@"
 
 # ASan leg: every reader of the on-disk formats (the CLOG-2/SLOG-2 parsers,
-# the lazy Navigator, the printers' stream_text, the v2 codec) fed the
-# fuzz suite's truncated, bit-flipped and hostile inputs, plus the tool
-# end-to-end tests. An out-of-bounds read in a reader shows up here as a
+# the lazy Navigator, the printers' stream_text, the v2 codec, and
+# mpe::salvage over torn and bit-flipped spill files in 'FuzzSalvage') fed
+# the fuzz suite's truncated, bit-flipped and hostile inputs, plus the tool
+# end-to-end tests. FuzzSalvage runs no Pilot job, so the deliver_wire
+# leak that keeps ChaosMatrix out (below) does not reach it. An out-of-bounds read in a reader shows up here as a
 # report, not as a lucky pass. 'Render' draws hostile files and every
 # reader's window order, and 'Traced\.' decodes sealed live chunks
 # (including a corrupted spill file) for queries and renders; its
@@ -66,9 +68,10 @@ TSAN_OPTIONS="halt_on_error=1" \
 # name like the other heavy suites. 'TraceCheck(App)?\.|TraceDiff\.' and
 # 'Query(Trace|Clocks|Rollup)' run the analysis passes: the pinned report
 # hashes, the matcher and in-place diff against their record-level
-# oracles, message halves on a negative rank (which once indexed the
-# per-rank op lists out of bounds), and the checker on whole Pilot app
-# runs (TraceCheckApp: no crash injection, so no deliver_wire leak).
+# oracles, out-of-range ranks and partners (once an out-of-bounds index
+# into the per-rank op lists, now a named reader error from every entry
+# point), and the checker on whole Pilot app runs (TraceCheckApp: no crash
+# injection, so no deliver_wire leak).
 cmake --preset sanitize-address
 cmake --build --preset sanitize-address -j "$(nproc)" \
   --target fault_fuzz_test slog2_test clog2_test slog2_v2_roundtrip_test \
@@ -76,4 +79,4 @@ cmake --build --preset sanitize-address -j "$(nproc)" \
   tracediff_test
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   ctest --preset sanitize-address -j "$(nproc)" \
-  -R 'FuzzParsers|FuzzTools|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)' "$@"
+  -R 'FuzzParsers|FuzzTools|FuzzSalvage|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)' "$@"

@@ -74,9 +74,9 @@ int run(int argc, char** argv) {
   tracegen::Options opts;
   opts.events = static_cast<std::uint64_t>(args.get_int_or("events", 100000));
   const long long ranks = args.get_int_or("ranks", 8);
-  if (ranks < 1 || ranks > tracegen::kMaxRanks) {
+  if (ranks < 1 || ranks > clog2::kMaxRanks) {
     std::fprintf(stderr, "error: --ranks must be in 1..%d (got %lld)\n",
-                 tracegen::kMaxRanks, ranks);
+                 clog2::kMaxRanks, ranks);
     return 2;
   }
   opts.nranks = static_cast<std::int32_t>(ranks);
