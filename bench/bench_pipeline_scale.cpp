@@ -1,8 +1,10 @@
 // Pipeline scaling sweep: trace size x thread count through the offline
-// toolchain — tracegen -> k-way merge -> parallel clog2->slog2 conversion ->
+// toolchain — tracegen -> k-way merge -> clog2->slog2 conversion ->
 // Navigator-windowed render. Emits BENCH_pipeline.json with the headline
 // numbers the perf acceptance criteria read:
-//   - convert speedup at 4 threads vs 1 on the large trace,
+//   - convert speedup at 4 threads vs 1 on the large trace (pairing is one
+//     serial pass; the threads run assemble()'s Equal-Drawables scans and
+//     preview fills),
 //   - k-way merge vs the seed's concat+stable_sort path,
 //   - zoomed window render wall time flat across trace sizes.
 //

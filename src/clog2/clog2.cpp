@@ -1,6 +1,7 @@
 #include "clog2/clog2.hpp"
 
 #include <array>
+#include <cmath>
 
 #include "util/fs.hpp"
 #include "util/mmapio.hpp"
@@ -273,7 +274,7 @@ void check_nranks(std::int32_t nranks) {
 
 namespace {
 
-// Out of line, so the in-range path of check_ranks stays small enough to
+// Out of line, so the passing path of check_record stays small enough to
 // inline into the readers' per-record loops.
 [[noreturn]] void rank_error(std::uint64_t index, const char* what,
                              std::int32_t r, std::int32_t nranks) {
@@ -282,17 +283,24 @@ namespace {
                                       r, nranks));
 }
 
+[[noreturn]] void timestamp_error(std::uint64_t index) {
+  throw util::IoError(util::strprintf("clog2: record %llu: timestamp not finite",
+                                      static_cast<unsigned long long>(index)));
+}
+
 }  // namespace
 
-void check_ranks(const Record& rec, std::int32_t nranks, std::uint64_t index) {
+void check_record(const Record& rec, std::int32_t nranks, std::uint64_t index) {
   const auto check = [&](const char* what, std::int32_t r) {
     if (r < 0 || r >= nranks) rank_error(index, what, r, nranks);
   };
   if (const auto* ev = std::get_if<EventRec>(&rec)) {
     check("rank", ev->rank);
+    if (!std::isfinite(ev->timestamp)) timestamp_error(index);
   } else if (const auto* m = std::get_if<MsgRec>(&rec)) {
     check("rank", m->rank);
     check("partner", m->partner);
+    if (!std::isfinite(m->timestamp)) timestamp_error(index);
   } else if (const auto* sy = std::get_if<SyncRec>(&rec)) {
     check("rank", sy->rank);
   }
@@ -358,7 +366,7 @@ StreamReader::Status StreamReader::next(Record* out) {
   } catch (const NeedMoreData&) {
     return need_more();
   }
-  check_ranks(rec, nranks_, records_read_);
+  check_record(rec, nranks_, records_read_);
   pos_ += r.pos();
   consumed_ += r.pos();
   ++records_read_;
@@ -388,7 +396,7 @@ File parse(const std::vector<std::uint8_t>& bytes) {
   file.records.reserve(h.nrecords);
   for (std::uint64_t i = 0; i < h.nrecords; ++i) {
     file.records.push_back(read_record_any(r));
-    check_ranks(file.records.back(), h.nranks, i);
+    check_record(file.records.back(), h.nranks, i);
   }
   if (r.u8() != static_cast<std::uint8_t>(RecordKind::kEndLog))
     throw util::IoError("clog2: missing end-of-log marker");
@@ -423,7 +431,7 @@ void stream_text(const std::filesystem::path& path,
     util::ByteReader r(map.data(), map.size());
     const StreamHeader h = read_stream_header(r);
     for (std::uint64_t i = 0; i < h.nrecords; ++i)
-      check_ranks(read_record_any(r), h.nranks, i);
+      check_record(read_record_any(r), h.nranks, i);
     if (r.u8() != static_cast<std::uint8_t>(RecordKind::kEndLog))
       throw util::IoError("clog2: missing end-of-log marker");
   }

@@ -91,8 +91,9 @@ using Record = std::variant<EventDef, StateDef, ConstDef, EventRec, MsgRec, Sync
 ///
 /// The checked record language bounds ranks: 0 <= nranks <= kMaxRanks, and
 /// every Event, Msg and Sync record names a rank (a Msg also a partner) in
-/// [0, nranks). Every reader and the query::Trace build enforce it through
-/// check_nranks / check_ranks.
+/// [0, nranks). Event and Msg timestamps are finite, so instance order is a
+/// strict weak order. Every reader, the query::Trace build and the SLOG-2
+/// pairing pass enforce it through check_nranks / check_record.
 struct File {
   std::uint32_t version = kFormatVersion;
   std::int32_t nranks = 0;
@@ -115,9 +116,11 @@ void check_nranks(std::int32_t nranks);
 
 /// Throws util::IoError ("clog2: record I: rank R outside [0, N)", or
 /// "partner P") unless the record's rank, and a message's partner, lie in
-/// [0, nranks). `index` is the record's 0-based position in the file, for
-/// the message. Definition records carry no rank and always pass.
-void check_ranks(const Record& rec, std::int32_t nranks, std::uint64_t index);
+/// [0, nranks), and ("clog2: record I: timestamp not finite") unless an
+/// Event or Msg timestamp is finite. `index` is the record's 0-based
+/// position in the file, for the message. Definition records carry neither
+/// and always pass.
+void check_record(const Record& rec, std::int32_t nranks, std::uint64_t index);
 
 /// Append one record in the on-disk layout (used by the robust-log spill
 /// files, which are bare record streams without the file header).
@@ -131,8 +134,8 @@ Record read_record(util::ByteReader& r);
 /// Serialize to the on-disk byte layout.
 std::vector<std::uint8_t> serialize(const File& file);
 
-/// Parse; throws util::IoError on malformed/truncated input or a rank
-/// outside the header's range.
+/// Parse; throws util::IoError on malformed/truncated input or a record
+/// check_record rejects.
 File parse(const std::vector<std::uint8_t>& bytes);
 
 void write_file(const std::filesystem::path& path, const File& file);
@@ -159,8 +162,8 @@ void stream_text(const std::filesystem::path& path,
 /// reported as Status::kNeedMoreData (retryable after more feed()) instead
 /// of the hard util::IoError a whole-file parse() gives truncation.
 /// Structural corruption (bad magic, unsupported version, unknown record
-/// kind, bad message kind, an impossibly large record, a rank outside the
-/// header's range) still throws util::IoError, so a corrupt stream fails
+/// kind, bad message kind, an impossibly large record, a record
+/// check_record rejects) still throws util::IoError, so a corrupt stream fails
 /// loudly at the first bad byte.
 ///
 /// The accepted record language is parse()'s minus one safety bound: a

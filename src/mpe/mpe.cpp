@@ -470,23 +470,28 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
     const auto bytes = util::read_file(path);
     util::ByteReader r(bytes);
     try {
-      while (!r.at_end()) {
+      for (std::uint64_t n = 0; !r.at_end(); ++n) {
         auto rec = clog2::read_record(r);
-        // A record logged under another rank, or naming a partner no header
-        // can cover, is corruption: the stream ends there, like a torn tail.
+        // A record logged under another rank, naming a partner no header can
+        // cover, or stamped with a non-finite time is corruption: the stream
+        // ends there, like a torn tail.
+        clog2::check_record(rec, clog2::kMaxRanks, n);
         const auto* m = std::get_if<clog2::MsgRec>(&rec);
+        const auto* s = std::get_if<clog2::SyncRec>(&rec);
         if (logged_rank(rec) != rank ||
-            (m != nullptr && (m->partner < 0 || m->partner >= clog2::kMaxRanks)))
+            (s != nullptr &&
+             !(std::isfinite(s->local_time) && std::isfinite(s->ref_time))))
           break;
         max_rank = std::max({max_rank, rank, m != nullptr ? m->partner : -1});
-        if (auto* s = std::get_if<clog2::SyncRec>(&rec)) {
+        if (s != nullptr) {
           frag.syncs.push_back(*s);
         } else {
           frag.records.push_back(std::move(rec));
         }
       }
     } catch (const util::IoError&) {
-      // The record being written when the program died: drop it.
+      // The record being written when the program died, or one the record
+      // check rejects: drop it and the rest of the stream.
     }
   }
   if (!found_anything)
@@ -502,11 +507,20 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
   for (auto& [rank, frag] : fragments) {
     const ClockFit fit = fit_clock(frag.syncs);
     for (const auto& s : frag.syncs) out.records.emplace_back(s);
-    for (auto& rec : frag.records) {
+    for (std::size_t k = 0; k < frag.records.size(); ++k) {
+      auto& rec = frag.records[k];
+      double* t = nullptr;
       if (auto* e = std::get_if<clog2::EventRec>(&rec)) {
-        e->timestamp = fit.apply(e->timestamp);
+        t = &e->timestamp;
       } else if (auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-        m->timestamp = fit.apply(m->timestamp);
+        t = &m->timestamp;
+      }
+      if (t == nullptr) continue;
+      *t = fit.apply(*t);
+      // An extreme fit can overflow a finite time; the stream ends there.
+      if (!std::isfinite(*t)) {
+        frag.records.resize(k);
+        break;
       }
     }
     streams.push_back(std::move(frag.records));

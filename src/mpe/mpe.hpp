@@ -189,11 +189,12 @@ private:
 /// work). Reads "<spill_base>.defs.spill" and every
 /// "<spill_base>.rank<r>.spill" that exists; a truncated tail (the record
 /// being written when the program died) is dropped, and so is the rest of
-/// a stream from a record logged under another rank or naming a partner
-/// outside [0, clog2::kMaxRanks). The header's nranks is 1 + the largest
+/// a stream from a record logged under another rank, naming a partner
+/// outside [0, clog2::kMaxRanks), or carrying a non-finite time (before or
+/// after its clock correction). The header's nranks is 1 + the largest
 /// rank or partner among the kept records, so the result always passes
-/// clog2's rank check. Clock corrections use whatever sync samples made it
-/// to disk. Throws util::IoError if no spill files exist at all.
+/// clog2::check_record. Clock corrections use whatever sync samples made
+/// it to disk. Throws util::IoError if no spill files exist at all.
 clog2::File salvage(const std::string& spill_base,
                     const std::string& comment = "salvaged after abort");
 

@@ -125,7 +125,7 @@ MsgGraph match_messages(const clog2::File& file, int nranks_floor) {
   clog2::check_nranks(file.nranks);
   std::vector<Step> msgs;
   for (std::size_t i = 0; i < file.records.size(); ++i) {
-    clog2::check_ranks(file.records[i], file.nranks, i);
+    clog2::check_record(file.records[i], file.nranks, i);
     if (const auto* m = std::get_if<clog2::MsgRec>(&file.records[i]))
       msgs.push_back(message_step(*m));
   }

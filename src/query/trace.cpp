@@ -61,15 +61,15 @@ Trace::Trace(const clog2::File& file, int threads)
   const std::size_t nrec = file.records.size();
   const std::size_t nchunks = (nrec + kRecordChunk - 1) / kRecordChunk;
 
-  // Pass 1: per-chunk step counts, rank checks, and definition record
-  // pointers. A chunk stops at its first out-of-range record, and the
+  // Pass 1: per-chunk step counts, record checks, and definition record
+  // pointers. A chunk stops at its first record the check rejects, and the
   // lowest such record throws, so the error is the same at any worker
   // count. Pass 2 commits each chunk's steps into its prefix-summed slot
   // range; definitions then apply serially in chunk (= record) order,
   // preserving the maps' last-wins insertion order.
   struct ChunkScan {
     std::size_t nsteps = 0;
-    std::exception_ptr bad_rank;
+    std::exception_ptr bad_record;
     std::vector<const clog2::Record*> defs;
   };
   std::vector<ChunkScan> scans(nchunks);
@@ -80,9 +80,9 @@ Trace::Trace(const clog2::File& file, int threads)
     for (std::size_t i = lo; i < hi; ++i) {
       const clog2::Record& rec = file.records[i];
       try {
-        clog2::check_ranks(rec, nranks_, i);
+        clog2::check_record(rec, nranks_, i);
       } catch (const util::IoError&) {
-        sc.bad_rank = std::current_exception();
+        sc.bad_record = std::current_exception();
         return;
       }
       if (std::holds_alternative<clog2::StateDef>(rec) ||
@@ -94,7 +94,7 @@ Trace::Trace(const clog2::File& file, int threads)
   });
   std::vector<std::size_t> offset(nchunks + 1, 0);
   for (std::size_t c = 0; c < nchunks; ++c) {
-    if (scans[c].bad_rank) std::rethrow_exception(scans[c].bad_rank);
+    if (scans[c].bad_record) std::rethrow_exception(scans[c].bad_record);
     offset[c + 1] = offset[c] + scans[c].nsteps;
   }
   steps_.resize(offset[nchunks]);

@@ -55,14 +55,14 @@ struct StateEvent {
 class Trace {
  public:
   /// Indexes `file`; the file must outlive the Trace. The record flatten,
-  /// the per-rank index fill, and the rank check are sharded across
+  /// the per-rank index fill, and the record check are sharded across
   /// `threads` workers (0 = one per hardware thread). Shards are fixed-size
   /// record chunks — boundaries depend on the data, never on the worker
   /// count — and commit into preallocated slots, so the Trace is identical
   /// bit for bit at any thread count. A file built in memory never passed
-  /// through clog2::parse, so the build applies the readers' rank check
-  /// (clog2::check_nranks / check_ranks) and throws util::IoError for the
-  /// lowest out-of-range record, the same error at any thread count.
+  /// through clog2::parse, so the build applies the readers' record check
+  /// (clog2::check_nranks / check_record) and throws util::IoError for the
+  /// lowest rejected record, the same error at any thread count.
   explicit Trace(const clog2::File& file, int threads = 1);
 
   [[nodiscard]] const clog2::File& file() const { return *file_; }

@@ -1,27 +1,19 @@
 // CLOG-2 → SLOG-2 conversion: pairing, matching, superposition detection,
 // and frame-tree construction. See slog2.hpp for the format overview.
 //
-// The conversion is parallel and deterministic. Work fans out across a
-// small worker pool (ConvertOptions::threads) along the axes that are
-// naturally independent:
-//   * per-timeline state pairing and solo-event collection (one task per
-//     rank),
-//   * per-(src,dst,tag) message matching (one task per key),
-//   * per-node preview fills over the finished frame tree (one task per
-//     frame).
-// Every task writes only its own pre-allocated slot; results are then
-// committed in a fixed order keyed by each drawable's position in the
-// global chronological instance order. The emitted file is byte-identical
-// at any thread count — and byte-identical to what the original
-// single-threaded scan produced.
-//
-// The pairing/matching machinery and the assemble() tail live partly in
-// convert_internal.hpp so the streaming OnlineConverter (src/traced/) can
-// reproduce this output incrementally, byte for byte.
+// Pairing is one serial pass (detail::Pairer) over the instances in global
+// chronological order, InstKey order, the same pass the streaming
+// OnlineConverter (src/traced/) runs as records arrive. Each drawable is
+// appended at its closing instance, so the lists come out commit-ordered
+// with no sort of their own. The assemble() tail then fans out across a
+// small worker pool (ConvertOptions::threads) where the work is
+// independent: the Equal-Drawables scans (one task per drawable kind) and
+// the per-node preview fills (one task per frame). Every task writes only
+// its own slot and results commit in a fixed order, so the emitted file is
+// byte-identical at any thread count, and online and offline emit the
+// same bytes.
 #include <algorithm>
 #include <array>
-#include <limits>
-#include <map>
 #include <set>
 #include <tuple>
 
@@ -111,16 +103,145 @@ std::unique_ptr<Frame> build_frame(Collected items, double a, double b, int dept
   return frame;
 }
 
+Pairer::Pairer(std::int32_t nranks) : nranks_(nranks) {
+  clog2::check_nranks(nranks);
+  stacks_.resize(static_cast<std::size_t>(nranks));
+  categories_.push_back(
+      Category{kArrowCategoryId, CategoryKind::kArrow, "message", "white", ""});
+}
+
+void Pairer::define(const clog2::StateDef& d) {
+  const auto cat = static_cast<std::int32_t>(categories_.size());
+  categories_.push_back(Category{cat, CategoryKind::kState, d.name, d.color, d.format});
+  index_.at(d.start_event_id) = EventIdIndex::Entry{cat, true, -1};
+  index_.at(d.end_event_id) = EventIdIndex::Entry{cat, false, -1};
+}
+
+void Pairer::define(const clog2::EventDef& e) {
+  const auto cat = static_cast<std::int32_t>(categories_.size());
+  categories_.push_back(Category{cat, CategoryKind::kEvent, e.name, e.color, e.format});
+  index_.at(e.event_id) = EventIdIndex::Entry{-1, false, cat};
+}
+
+InstKey Pairer::enter(const clog2::Record& rec, std::uint64_t record_index) {
+  clog2::check_record(rec, nranks_, record_index);
+  const auto* e = std::get_if<clog2::EventRec>(&rec);
+  const double t = e != nullptr ? e->timestamp : std::get<clog2::MsgRec>(rec).timestamp;
+  any_instance_ = true;
+  last_time_ = std::max(last_time_, t);
+  return InstKey{t, next_instance_++};
+}
+
+Pairer::Drawn Pairer::admit(const clog2::Record& rec, Frame& out) {
+  if (const auto* e = std::get_if<clog2::EventRec>(&rec)) return pair_event(*e, out);
+  return pair_message(std::get<clog2::MsgRec>(rec), out);
+}
+
+Pairer::Drawn Pairer::pair_event(const clog2::EventRec& e, Frame& out) {
+  const EventIdIndex::Entry* entry = index_.find(e.event_id);
+  if (entry != nullptr && entry->solo_cat >= 0) {
+    out.events.push_back(EventDrawable{entry->solo_cat, e.rank, e.timestamp, e.text});
+    return Drawn::kEvent;
+  }
+  if (entry == nullptr) {
+    ++unknown_event_ids_;
+    if (warning_fits())
+      scan_warnings_.push_back(util::strprintf("rank %d: event id %d has no definition",
+                                               e.rank, e.event_id));
+    return Drawn::kNothing;
+  }
+  auto& stack = stacks_[static_cast<std::size_t>(e.rank)];
+  if (entry->is_start) {
+    stack.push_back(OpenState{entry->state_cat, e.timestamp, e.text,
+                              static_cast<std::int32_t>(stack.size())});
+    open_bytes_ += sizeof(OpenState) + e.text.size();
+    return Drawn::kNothing;
+  }
+  if (stack.empty() || stack.back().category_id != entry->state_cat) {
+    ++unmatched_state_ends_;
+    if (warning_fits())
+      scan_warnings_.push_back(util::strprintf(
+          "rank %d: end event id %d at t=%.9f has no matching open state", e.rank,
+          e.event_id, e.timestamp));
+    return Drawn::kNothing;
+  }
+  OpenState& open = stack.back();
+  open_bytes_ -= sizeof(OpenState) + open.start_text.size();
+  out.states.push_back(StateDrawable{open.category_id, e.rank, open.start_time,
+                                     e.timestamp, open.depth,
+                                     std::move(open.start_text), e.text});
+  stack.pop_back();
+  return Drawn::kState;
+}
+
+Pairer::Drawn Pairer::pair_message(const clog2::MsgRec& m, Frame& out) {
+  const bool is_send = m.kind == clog2::MsgRec::Kind::kSend;
+  const MsgKey key = is_send ? MsgKey{m.rank, m.partner, m.tag}
+                             : MsgKey{m.partner, m.rank, m.tag};
+  Queue& q = queues_[key];
+  if (q.halves.empty() || q.sends == is_send) {
+    q.sends = is_send;
+    q.halves.push_back(Half{m.timestamp, m.size});
+    open_bytes_ += sizeof(Half);
+    return Drawn::kNothing;
+  }
+  // Both kinds arrive in InstKey order, so the front is the i-th half of
+  // the other kind: the i-th send pairs with the i-th receive, and the
+  // arrow commits at the later half, this one.
+  const Half other = q.halves.front();
+  q.halves.pop_front();
+  open_bytes_ -= sizeof(Half);
+  const Half send = is_send ? Half{m.timestamp, m.size} : other;
+  const double recv_t = is_send ? other.t : m.timestamp;
+  out.arrows.push_back(ArrowDrawable{std::get<0>(key), std::get<1>(key), send.t,
+                                     recv_t, std::get<2>(key), send.size});
+  return Drawn::kArrow;
+}
+
+void Pairer::finish(ConvertStats& stats, Frame& out,
+                    std::vector<std::string>* warnings) {
+  stats.unmatched_state_ends += unmatched_state_ends_;
+  stats.unknown_event_ids += unknown_event_ids_;
+  for (const auto& msg : scan_warnings_) warn(warnings, msg);
+
+  for (const auto& [key, q] : queues_) {
+    if (!q.sends || q.halves.empty()) continue;
+    stats.unmatched_sends += q.halves.size();
+    warn(warnings, util::strprintf("%zu send(s) from rank %d to rank %d tag %d "
+                                   "were never received",
+                                   q.halves.size(), std::get<0>(key),
+                                   std::get<1>(key), std::get<2>(key)));
+  }
+  for (const auto& [key, q] : queues_) {
+    if (q.sends || q.halves.empty()) continue;
+    stats.unmatched_recvs += q.halves.size();
+    warn(warnings, util::strprintf("%zu receive(s) at rank %d from rank %d tag %d "
+                                   "have no logged send",
+                                   q.halves.size(), std::get<1>(key),
+                                   std::get<0>(key), std::get<2>(key)));
+  }
+
+  // Close dangling states at the last timestamp so they stay visible.
+  for (std::size_t r = 0; r < stacks_.size(); ++r) {
+    auto& stack = stacks_[r];
+    const auto rank = static_cast<std::int32_t>(r);
+    while (!stack.empty()) {
+      ++stats.unclosed_states;
+      OpenState& open = stack.back();
+      warn(warnings,
+           util::strprintf("rank %d: state category %d opened at t=%.9f never closed",
+                           rank, open.category_id, open.start_time));
+      out.states.push_back(StateDrawable{open.category_id, rank, open.start_time,
+                                         last_time_, open.depth,
+                                         std::move(open.start_text), {}});
+      stack.pop_back();
+    }
+  }
+}
+
 }  // namespace detail
 
 namespace {
-
-using detail::Collected;
-using detail::EventIdIndex;
-using detail::InstKey;
-using detail::kMaxWarningMessages;
-using detail::OpenState;
-using detail::warn;
 
 void add_occupancy(Preview& pv, double node_t0, double node_t1, std::int32_t cat,
                    double s, double e) {
@@ -186,136 +307,6 @@ void collect_frames(Frame& f, std::vector<Frame*>& out) {
   out.push_back(&f);
   if (f.left) collect_frames(*f.left, out);
   if (f.right) collect_frames(*f.right, out);
-}
-
-struct EvInst {
-  InstKey key;
-  const clog2::EventRec* rec = nullptr;
-};
-struct MsgInst {
-  InstKey key;
-  const clog2::MsgRec* rec = nullptr;
-};
-
-// Per-timeline task output (one per rank present in the trace).
-struct TimelineOut {
-  std::vector<EvInst> instances;  // input: this rank's event instances
-  std::vector<StateDrawable> states;
-  std::vector<InstKey> state_keys;  // commit key = the closing instance
-  std::vector<EventDrawable> events;
-  std::vector<InstKey> event_keys;
-  std::vector<OpenState> open_tail;  // never-closed states, stack order
-  struct Warn {
-    InstKey key;
-    std::string msg;
-  };
-  std::vector<Warn> warns;
-  std::uint64_t unmatched_state_ends = 0;
-  std::uint64_t unknown_event_ids = 0;
-};
-
-// Per-message-key task output.
-struct MsgOut {
-  std::vector<MsgInst> sends;  // input halves, file order
-  std::vector<MsgInst> recvs;
-  std::vector<ArrowDrawable> arrows;
-  std::vector<InstKey> arrow_keys;  // commit key = the later (matching) half
-  std::size_t unmatched_sends = 0;
-  std::size_t unmatched_recvs = 0;
-};
-
-void pair_timeline(std::int32_t rank, TimelineOut& tl, const EventIdIndex& index) {
-  std::sort(tl.instances.begin(), tl.instances.end(),
-            [](const EvInst& a, const EvInst& b) { return a.key < b.key; });
-  std::vector<OpenState> stack;
-  for (const EvInst& inst : tl.instances) {
-    const auto& e = *inst.rec;
-    const EventIdIndex::Entry* entry = index.find(e.event_id);
-    if (entry != nullptr && entry->state_cat >= 0) {
-      if (entry->is_start) {
-        stack.push_back(OpenState{entry->state_cat, e.timestamp, e.text,
-                                  static_cast<std::int32_t>(stack.size())});
-      } else if (!stack.empty() && stack.back().category_id == entry->state_cat) {
-        StateDrawable s;
-        s.category_id = stack.back().category_id;
-        s.rank = rank;
-        s.start_time = stack.back().start_time;
-        s.end_time = e.timestamp;
-        s.depth = stack.back().depth;
-        s.start_text = std::move(stack.back().start_text);
-        s.end_text = e.text;
-        stack.pop_back();
-        tl.states.push_back(std::move(s));
-        tl.state_keys.push_back(inst.key);
-      } else {
-        ++tl.unmatched_state_ends;
-        if (tl.warns.size() < kMaxWarningMessages)
-          tl.warns.push_back(TimelineOut::Warn{
-              inst.key,
-              util::strprintf("rank %d: end event id %d at t=%.9f has no matching "
-                              "open state",
-                              rank, e.event_id, e.timestamp)});
-      }
-    } else if (entry != nullptr && entry->solo_cat >= 0) {
-      tl.events.push_back(EventDrawable{entry->solo_cat, rank, e.timestamp, e.text});
-      tl.event_keys.push_back(inst.key);
-    } else {
-      ++tl.unknown_event_ids;
-      if (tl.warns.size() < kMaxWarningMessages)
-        tl.warns.push_back(TimelineOut::Warn{
-            inst.key, util::strprintf("rank %d: event id %d has no definition",
-                                      rank, e.event_id)});
-    }
-  }
-  tl.open_tail = std::move(stack);
-  tl.instances.clear();
-  tl.instances.shrink_to_fit();
-}
-
-void pair_messages(MsgOut& mo) {
-  auto by_key = [](const MsgInst& a, const MsgInst& b) { return a.key < b.key; };
-  std::sort(mo.sends.begin(), mo.sends.end(), by_key);
-  std::sort(mo.recvs.begin(), mo.recvs.end(), by_key);
-  // FIFO matching of two chronological streams pairs the i-th send with the
-  // i-th receive of the key; the arrow "commits" when its later half is
-  // scanned, exactly as in the sequential pass.
-  const std::size_t npairs = std::min(mo.sends.size(), mo.recvs.size());
-  mo.arrows.reserve(npairs);
-  mo.arrow_keys.reserve(npairs);
-  for (std::size_t i = 0; i < npairs; ++i) {
-    const clog2::MsgRec& send = *mo.sends[i].rec;
-    const clog2::MsgRec& recv = *mo.recvs[i].rec;
-    ArrowDrawable a;
-    a.src_rank = send.rank;
-    a.dst_rank = recv.rank;
-    a.start_time = send.timestamp;
-    a.end_time = recv.timestamp;
-    a.tag = send.tag;
-    a.size = send.size;
-    mo.arrows.push_back(a);
-    mo.arrow_keys.push_back(std::max(mo.sends[i].key, mo.recvs[i].key,
-                                     [](const InstKey& x, const InstKey& y) {
-                                       return x < y;
-                                     }));
-  }
-  mo.unmatched_sends = mo.sends.size() - npairs;
-  mo.unmatched_recvs = mo.recvs.size() - npairs;
-  mo.sends.clear();
-  mo.sends.shrink_to_fit();
-  mo.recvs.clear();
-  mo.recvs.shrink_to_fit();
-}
-
-// Move drawables out of per-task slots into one vector ordered by commit
-// key. The key sort is what pins the output order regardless of how tasks
-// were scheduled.
-template <typename Drawable>
-void commit_ordered(std::vector<std::pair<InstKey, Drawable*>>& keyed,
-                    std::vector<Drawable>& out) {
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.reserve(out.size() + keyed.size());
-  for (auto& [key, ptr] : keyed) out.push_back(std::move(*ptr));
 }
 
 }  // namespace
@@ -424,164 +415,36 @@ File convert(const clog2::File& in, const ConvertOptions& opts,
   out.frame_size = opts.frame_size;
   out.encoding = opts.encoding;
 
-  // --- category table -------------------------------------------------------
-  out.categories.push_back(
-      Category{kArrowCategoryId, CategoryKind::kArrow, "message", "white", ""});
-  EventIdIndex index;
-  for (const auto& rec : in.records) {
+  // Definitions apply wherever they sit in the file; instances are checked
+  // and keyed on the way past.
+  detail::Pairer pairer(in.nranks);
+  std::vector<std::pair<detail::InstKey, const clog2::Record*>> instances;
+  instances.reserve(in.records.size());
+  for (std::size_t i = 0; i < in.records.size(); ++i) {
+    const clog2::Record& rec = in.records[i];
     if (const auto* d = std::get_if<clog2::StateDef>(&rec)) {
-      index.note_id(d->start_event_id);
-      index.note_id(d->end_event_id);
+      pairer.define(*d);
     } else if (const auto* e = std::get_if<clog2::EventDef>(&rec)) {
-      index.note_id(e->event_id);
+      pairer.define(*e);
+    } else if (std::holds_alternative<clog2::EventRec>(rec) ||
+               std::holds_alternative<clog2::MsgRec>(rec)) {
+      instances.emplace_back(pairer.enter(rec, i), &rec);
     }
   }
-  index.finalize();
-  std::int32_t next_cat = 1;
-  for (const auto& rec : in.records) {
-    if (const auto* d = std::get_if<clog2::StateDef>(&rec)) {
-      const std::int32_t cat = next_cat++;
-      out.categories.push_back(
-          Category{cat, CategoryKind::kState, d->name, d->color, d->format});
-      index.at(d->start_event_id) = EventIdIndex::Entry{cat, true, -1};
-      index.at(d->end_event_id) = EventIdIndex::Entry{cat, false, -1};
-    } else if (const auto* e = std::get_if<clog2::EventDef>(&rec)) {
-      const std::int32_t cat = next_cat++;
-      out.categories.push_back(
-          Category{cat, CategoryKind::kEvent, e->name, e->color, e->format});
-      index.at(e->event_id) = EventIdIndex::Entry{-1, false, cat};
-    }
-  }
+  // A merged CLOG-2 file is already in instance order.
+  const auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(instances.begin(), instances.end(), by_key))
+    std::sort(instances.begin(), instances.end(), by_key);
 
-  // --- bucket instances by timeline / message key ---------------------------
-  // One cheap sequential pass assigns every instance its global (time, file
-  // position) key and routes it to the task that will process it.
-  using MsgKey = std::tuple<std::int32_t, std::int32_t, std::int32_t>;
-  std::map<std::int32_t, TimelineOut> timelines;
-  std::map<MsgKey, MsgOut> messages;
-  double last_time_seen = 0.0;
-  bool any_instance = false;
-  std::uint64_t inst_idx = 0;
-  for (const auto& rec : in.records) {
-    if (const auto* e = std::get_if<clog2::EventRec>(&rec)) {
-      any_instance = true;
-      last_time_seen = std::max(last_time_seen, e->timestamp);
-      timelines[e->rank].instances.push_back(
-          EvInst{InstKey{e->timestamp, inst_idx++}, e});
-    } else if (const auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-      any_instance = true;
-      last_time_seen = std::max(last_time_seen, m->timestamp);
-      const bool is_send = m->kind == clog2::MsgRec::Kind::kSend;
-      const MsgKey key = is_send ? MsgKey{m->rank, m->partner, m->tag}
-                                 : MsgKey{m->partner, m->rank, m->tag};
-      auto& mo = messages[key];
-      (is_send ? mo.sends : mo.recvs)
-          .push_back(MsgInst{InstKey{m->timestamp, inst_idx++}, m});
-    }
-  }
+  Frame drawn;
+  for (const auto& [key, rec] : instances) pairer.admit(*rec, drawn);
+  pairer.finish(out.stats, drawn, warnings);
+  out.categories = pairer.categories();
 
-  // --- fan out: per-timeline pairing, per-key matching ----------------------
-  std::vector<std::pair<std::int32_t, TimelineOut*>> timeline_tasks;
-  timeline_tasks.reserve(timelines.size());
-  for (auto& [rank, tl] : timelines) timeline_tasks.emplace_back(rank, &tl);
-  std::vector<MsgOut*> message_tasks;
-  message_tasks.reserve(messages.size());
-  for (auto& [key, mo] : messages) message_tasks.push_back(&mo);
-
-  util::parallel_for(timeline_tasks.size() + message_tasks.size(), nthreads,
-                     [&](std::size_t i) {
-                       if (i < timeline_tasks.size()) {
-                         pair_timeline(timeline_tasks[i].first,
-                                       *timeline_tasks[i].second, index);
-                       } else {
-                         pair_messages(*message_tasks[i - timeline_tasks.size()]);
-                       }
-                     });
-
-  // --- commit in instance order ---------------------------------------------
-  Collected items;
-  {
-    std::size_t nstates = 0, nevents = 0, narrows = 0, nwarns = 0;
-    for (const auto& [rank, tl] : timeline_tasks) {
-      nstates += tl->states.size() + tl->open_tail.size();
-      nevents += tl->events.size();
-      nwarns += tl->warns.size();
-    }
-    for (const MsgOut* mo : message_tasks) narrows += mo->arrows.size();
-
-    std::vector<std::pair<InstKey, StateDrawable*>> keyed_states;
-    keyed_states.reserve(nstates);
-    std::vector<std::pair<InstKey, EventDrawable*>> keyed_events;
-    keyed_events.reserve(nevents);
-    std::vector<std::pair<InstKey, ArrowDrawable*>> keyed_arrows;
-    keyed_arrows.reserve(narrows);
-    std::vector<std::pair<InstKey, const std::string*>> keyed_warns;
-    keyed_warns.reserve(nwarns);
-
-    for (auto& [rank, tl] : timeline_tasks) {
-      for (std::size_t i = 0; i < tl->states.size(); ++i)
-        keyed_states.emplace_back(tl->state_keys[i], &tl->states[i]);
-      for (std::size_t i = 0; i < tl->events.size(); ++i)
-        keyed_events.emplace_back(tl->event_keys[i], &tl->events[i]);
-      for (auto& w : tl->warns) keyed_warns.emplace_back(w.key, &w.msg);
-      out.stats.unmatched_state_ends += tl->unmatched_state_ends;
-      out.stats.unknown_event_ids += tl->unknown_event_ids;
-    }
-    for (MsgOut* mo : message_tasks)
-      for (std::size_t i = 0; i < mo->arrows.size(); ++i)
-        keyed_arrows.emplace_back(mo->arrow_keys[i], &mo->arrows[i]);
-
-    items.states.reserve(nstates);
-    commit_ordered(keyed_states, items.states);
-    items.events.reserve(nevents);
-    commit_ordered(keyed_events, items.events);
-    items.arrows.reserve(narrows);
-    commit_ordered(keyed_arrows, items.arrows);
-
-    // Scan-phase warnings, replayed in global chronological order.
-    std::sort(keyed_warns.begin(), keyed_warns.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, msg] : keyed_warns) warn(warnings, *msg);
-  }
-
-  for (const auto& [key, mo] : messages) {
-    out.stats.unmatched_sends += mo.unmatched_sends;
-    if (mo.unmatched_sends > 0)
-      warn(warnings, util::strprintf("%zu send(s) from rank %d to rank %d tag %d "
-                                     "were never received",
-                                     mo.unmatched_sends, std::get<0>(key),
-                                     std::get<1>(key), std::get<2>(key)));
-  }
-  for (const auto& [key, mo] : messages) {
-    out.stats.unmatched_recvs += mo.unmatched_recvs;
-    if (mo.unmatched_recvs > 0)
-      warn(warnings, util::strprintf("%zu receive(s) at rank %d from rank %d tag %d "
-                                     "have no logged send",
-                                     mo.unmatched_recvs, std::get<1>(key),
-                                     std::get<0>(key), std::get<2>(key)));
-  }
-
-  // Close dangling states at the last timestamp so they stay visible.
-  for (auto& [rank, tl] : timeline_tasks) {
-    while (!tl->open_tail.empty()) {
-      ++out.stats.unclosed_states;
-      auto& open = tl->open_tail.back();
-      StateDrawable s;
-      s.category_id = open.category_id;
-      s.rank = rank;
-      s.start_time = open.start_time;
-      s.end_time = last_time_seen;
-      s.depth = open.depth;
-      s.start_text = std::move(open.start_text);
-      warn(warnings,
-           util::strprintf("rank %d: state category %d opened at t=%.9f never closed",
-                           rank, s.category_id, s.start_time));
-      tl->open_tail.pop_back();
-      items.states.push_back(std::move(s));
-    }
-  }
-
-  detail::assemble(out, std::move(items), any_instance, opts, nthreads, warnings);
+  detail::assemble(out,
+                   detail::Collected{std::move(drawn.states), std::move(drawn.events),
+                                     std::move(drawn.arrows)},
+                   pairer.any_instance(), opts, nthreads, warnings);
   return out;
 }
 

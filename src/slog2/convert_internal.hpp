@@ -1,8 +1,9 @@
 // Internal pieces of the CLOG-2 → SLOG-2 conversion shared by the offline
 // converter (convert.cpp) and the streaming OnlineConverter in src/traced/.
-// Both producers feed the same commit-ordered drawable lists into the same
-// assemble() tail, which is what makes the online finalize() output
-// byte-identical to the offline converter on the same records.
+// Both run the one Pairer over their instances in InstKey order and feed
+// the commit-ordered drawable lists it appends into the same assemble()
+// tail, which is what makes the online finalize() output byte-identical to
+// the offline converter on the same records.
 //
 // It also holds the per-frame visit and drawable text the readers in
 // serialize.cpp share with File, and the frame-payload codec serialize()
@@ -15,10 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "slog2/slog2.hpp"
@@ -41,14 +44,6 @@ struct Collected {
   std::vector<ArrowDrawable> arrows;
 };
 
-/// One entry of a rank's open-state stack during pairing.
-struct OpenState {
-  std::int32_t category_id = 0;
-  double start_time = 0.0;
-  std::string start_text;
-  std::int32_t depth = 0;
-};
-
 /// Global chronological position of an instance record: primary key its
 /// timestamp, tie-broken by its position in the file/stream. Processing
 /// instances in InstKey order is exactly the stable-sort-by-time order the
@@ -63,11 +58,9 @@ struct InstKey {
 };
 
 // Event-id → category lookup. Ids are allocated contiguously from 1 by the
-// MPE layer, so the hot path is a dense vector indexed by id; files with
-// absurd ids (hostile or handcrafted) overflow into a map instead of
-// forcing a giant allocation. The streaming converter skips note_id()
-// entirely (ids are not known up front), which routes everything through
-// the overflow map — same mapping, different speed.
+// MPE layer, so the hot path is a dense vector indexed by id, grown on
+// demand as definitions arrive; absurd ids (hostile or handcrafted files)
+// go to an overflow map instead of forcing a giant allocation.
 class EventIdIndex {
 public:
   struct Entry {
@@ -77,31 +70,108 @@ public:
     [[nodiscard]] bool used() const { return state_cat >= 0 || solo_cat >= 0; }
   };
 
-  void note_id(std::int32_t id) {
-    if (id >= 0 && id < kDenseLimit)
-      max_dense_ = std::max(max_dense_, static_cast<std::size_t>(id) + 1);
-  }
-  void finalize() { dense_.resize(max_dense_); }
-
   Entry& at(std::int32_t id) {
-    if (id >= 0 && static_cast<std::size_t>(id) < dense_.size())
-      return dense_[static_cast<std::size_t>(id)];
-    return overflow_[id];
+    if (id < 0 || id >= kDenseLimit) return overflow_[id];
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= dense_.size()) dense_.resize(i + 1);
+    return dense_[i];
   }
   [[nodiscard]] const Entry* find(std::int32_t id) const {
-    if (id >= 0 && static_cast<std::size_t>(id) < dense_.size()) {
-      const Entry& e = dense_[static_cast<std::size_t>(id)];
-      return e.used() ? &e : nullptr;
+    if (id < 0 || id >= kDenseLimit) {
+      const auto it = overflow_.find(id);
+      return it == overflow_.end() ? nullptr : &it->second;
     }
-    const auto it = overflow_.find(id);
-    return it == overflow_.end() ? nullptr : &it->second;
+    const auto i = static_cast<std::size_t>(id);
+    return i < dense_.size() && dense_[i].used() ? &dense_[i] : nullptr;
   }
 
 private:
   static constexpr std::int32_t kDenseLimit = 1 << 20;
-  std::size_t max_dense_ = 0;
   std::vector<Entry> dense_;
   std::map<std::int32_t, Entry> overflow_;
+};
+
+/// The one pairing pass of the conversion (clog2TOslog2's analysis step),
+/// shared by convert() and the streaming OnlineConverter. StateDef and
+/// EventDef records build the category table. Instances, admitted one at a
+/// time in InstKey order, pair state start/end events LIFO per rank into
+/// rectangles with nesting depth, pair send/receive halves FIFO per
+/// (src, dst, tag) into arrows, and keep solo events as bubbles. Each
+/// drawable is appended at its commit point, the instance that completes
+/// it, so the output lists come out in global commit order (see
+/// Collected).
+class Pairer {
+public:
+  /// What one admit() appended to its output.
+  enum class Drawn : std::uint8_t { kNothing, kState, kEvent, kArrow };
+
+  /// Throws util::IoError unless clog2::check_nranks accepts `nranks`.
+  explicit Pairer(std::int32_t nranks = 0);
+
+  /// Add one category and route its event ids. A later definition of the
+  /// same id wins.
+  void define(const clog2::StateDef& d);
+  void define(const clog2::EventDef& e);
+
+  /// Check an EventRec or MsgRec with clog2::check_record (`record_index`
+  /// names it in the error) and give it the next InstKey. The check runs
+  /// before any ordering, so no non-finite time reaches an InstKey sort.
+  InstKey enter(const clog2::Record& rec, std::uint64_t record_index);
+
+  /// Pair one entered instance; instances must come in InstKey order. The
+  /// drawable it completes, if any, is appended to `out`.
+  Drawn admit(const clog2::Record& rec, Frame& out);
+
+  /// End of input. Adds the pairing counters to `stats` and emits, in this
+  /// order, the scan warnings (chronological), the unmatched sends and then
+  /// the unmatched receives (per (src, dst, tag) key), and the never-closed
+  /// states, which are closed at the last instance time and appended to
+  /// `out.states` rank by rank.
+  void finish(ConvertStats& stats, Frame& out, std::vector<std::string>* warnings);
+
+  [[nodiscard]] const std::vector<Category>& categories() const { return categories_; }
+  [[nodiscard]] bool any_instance() const { return any_instance_; }
+  /// Bytes held by open states and unmatched message halves.
+  [[nodiscard]] std::uint64_t open_bytes() const { return open_bytes_; }
+
+private:
+  struct OpenState {
+    std::int32_t category_id = 0;
+    double start_time = 0.0;
+    std::string start_text;
+    std::int32_t depth = 0;
+  };
+  // An unmatched message half; its ranks and tag are its queue's key.
+  struct Half {
+    double t = 0.0;
+    std::uint32_t size = 0;
+  };
+  // Unmatched halves of one (src, dst, tag) key, admitted order. Only one
+  // kind can wait at a time: the other kind's next half matches the front.
+  struct Queue {
+    bool sends = true;
+    std::deque<Half> halves;
+  };
+  using MsgKey = std::tuple<std::int32_t, std::int32_t, std::int32_t>;
+
+  [[nodiscard]] bool warning_fits() const {
+    return scan_warnings_.size() < kMaxWarningMessages;
+  }
+  Drawn pair_event(const clog2::EventRec& e, Frame& out);
+  Drawn pair_message(const clog2::MsgRec& m, Frame& out);
+
+  std::int32_t nranks_ = 0;
+  std::vector<Category> categories_;
+  EventIdIndex index_;
+  std::vector<std::vector<OpenState>> stacks_;  // per rank
+  std::map<MsgKey, Queue> queues_;
+  std::vector<std::string> scan_warnings_;  // first kMaxWarningMessages
+  std::uint64_t unmatched_state_ends_ = 0;
+  std::uint64_t unknown_event_ids_ = 0;
+  std::uint64_t next_instance_ = 0;
+  double last_time_ = 0.0;  // latest instance time, never below 0
+  bool any_instance_ = false;
+  std::uint64_t open_bytes_ = 0;
 };
 
 /// Payload accounting shared with Frame::payload_bytes().

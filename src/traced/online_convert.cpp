@@ -41,9 +41,7 @@ void OnlineConverter::begin(std::int32_t nranks) {
   if (begun_) throw util::UsageError("OnlineConverter::begin called twice");
   begun_ = true;
   nranks_ = nranks;
-  categories_.push_back(slog2::Category{slog2::kArrowCategoryId,
-                                        slog2::CategoryKind::kArrow, "message",
-                                        "white", ""});
+  pairer_ = detail2::Pairer(nranks);
   if (!opts_.spill_dir.empty()) {
     std::filesystem::create_directories(opts_.spill_dir);
     spill_file_ =
@@ -61,28 +59,20 @@ double OnlineConverter::admitted_frontier() const {
 void OnlineConverter::push(const clog2::Record& rec) {
   if (!begun_) throw util::UsageError("OnlineConverter::push before begin()");
   if (finalized_) throw util::UsageError("OnlineConverter::push after finalize()");
+  const std::uint64_t index = records_pushed_++;
 
-  if (const auto* d = std::get_if<clog2::StateDef>(&rec)) {
-    if (any_instance_)
-      throw util::IoError(
+  const auto* sd = std::get_if<clog2::StateDef>(&rec);
+  const auto* ed = std::get_if<clog2::EventDef>(&rec);
+  if (sd != nullptr || ed != nullptr) {
+    if (pairer_.any_instance())
+      throw util::IoError(util::strprintf(
           "online conversion requires definition records before instance "
-          "records (StateDef arrived late)");
-    const std::int32_t cat = next_cat_++;
-    categories_.push_back(slog2::Category{cat, slog2::CategoryKind::kState, d->name,
-                                          d->color, d->format});
-    index_.at(d->start_event_id) = detail2::EventIdIndex::Entry{cat, true, -1};
-    index_.at(d->end_event_id) = detail2::EventIdIndex::Entry{cat, false, -1};
-    return;
-  }
-  if (const auto* e = std::get_if<clog2::EventDef>(&rec)) {
-    if (any_instance_)
-      throw util::IoError(
-          "online conversion requires definition records before instance "
-          "records (EventDef arrived late)");
-    const std::int32_t cat = next_cat_++;
-    categories_.push_back(slog2::Category{cat, slog2::CategoryKind::kEvent, e->name,
-                                          e->color, e->format});
-    index_.at(e->event_id) = detail2::EventIdIndex::Entry{-1, false, cat};
+          "records (%s arrived late)",
+          sd != nullptr ? "StateDef" : "EventDef"));
+    if (sd != nullptr)
+      pairer_.define(*sd);
+    else
+      pairer_.define(*ed);
     return;
   }
   if (std::holds_alternative<clog2::ConstDef>(rec) ||
@@ -90,25 +80,18 @@ void OnlineConverter::push(const clog2::Record& rec) {
     return;  // no drawables; the offline converter ignores these too
 
   // Instance record (EventRec or MsgRec).
-  double t = 0.0;
-  if (const auto* e = std::get_if<clog2::EventRec>(&rec))
-    t = e->timestamp;
-  else
-    t = std::get<clog2::MsgRec>(rec).timestamp;
-
-  if (any_instance_ && t < watermark_ - opts_.max_disorder)
+  const bool first = !pairer_.any_instance();
+  const detail2::InstKey key = pairer_.enter(rec, index);
+  if (!first && key.t < watermark_ - opts_.max_disorder)
     throw util::IoError(util::strprintf(
         "stream disorder exceeds the %.6fs bound: record at t=%.9f arrived "
         "after the watermark reached %.9f",
-        opts_.max_disorder, t, watermark_));
+        opts_.max_disorder, key.t, watermark_));
 
-  any_instance_ = true;
-  last_time_seen_ = std::max(last_time_seen_, t);
-  PendingInst inst{detail2::InstKey{t, inst_idx_++}, rec};
   heap_bytes_ += sizeof(PendingInst) + 64;  // rough per-record footprint
-  heap_.push(std::move(inst));
+  heap_.push(PendingInst{key, rec});
   ++usage_.records;
-  watermark_ = std::max(watermark_, t);
+  watermark_ = std::max(watermark_, key.t);
 
   // Admit everything that can no longer be displaced by a late arrival:
   // a new record may still carry any t' >= watermark - max_disorder, and
@@ -121,103 +104,34 @@ void OnlineConverter::push(const clog2::Record& rec) {
 
 void OnlineConverter::drain_heap_until(double limit) {
   while (!heap_.empty() && heap_.top().key.t < limit) {
-    const PendingInst& top = heap_.top();
-    admit(top);
+    admit(heap_.top());
     heap_bytes_ -= sizeof(PendingInst) + 64;
     heap_.pop();
   }
 }
 
 void OnlineConverter::admit(const PendingInst& inst) {
-  last_admitted_t_ = inst.key.t;
-  if (const auto* e = std::get_if<clog2::EventRec>(&inst.rec))
-    admit_event(*e);
-  else
-    admit_msg(std::get<clog2::MsgRec>(inst.rec));
-}
-
-void OnlineConverter::scan_warn(std::int32_t rank, const std::string& msg) {
-  // Mirror the offline cap structure: at most kMaxWarningMessages per rank
-  // (TimelineOut::warns) — the global cap is applied when the warnings are
-  // replayed through detail::warn at finalize.
-  auto& rs = ranks_[rank];
-  if (rs.scan_warns < detail2::kMaxWarningMessages &&
-      scan_warnings_.size() < detail2::kMaxWarningMessages) {
-    ++rs.scan_warns;
-    scan_warnings_.push_back(msg);
-  }
-}
-
-void OnlineConverter::admit_event(const clog2::EventRec& e) {
-  auto& rs = ranks_[e.rank];
-  const detail2::EventIdIndex::Entry* entry = index_.find(e.event_id);
-  if (entry != nullptr && entry->state_cat >= 0) {
-    if (entry->is_start) {
-      rs.stack.push_back(detail2::OpenState{
-          entry->state_cat, e.timestamp, e.text,
-          static_cast<std::int32_t>(rs.stack.size())});
-      open_bytes_ += sizeof(detail2::OpenState) + e.text.size();
-    } else if (!rs.stack.empty() && rs.stack.back().category_id == entry->state_cat) {
-      slog2::StateDrawable s;
-      s.category_id = rs.stack.back().category_id;
-      s.rank = e.rank;
-      s.start_time = rs.stack.back().start_time;
-      s.end_time = e.timestamp;
-      s.depth = rs.stack.back().depth;
-      s.start_text = std::move(rs.stack.back().start_text);
-      s.end_text = e.text;
-      open_bytes_ -= sizeof(detail2::OpenState) + s.start_text.size();
-      rs.stack.pop_back();
+  using Drawn = detail2::Pairer::Drawn;
+  switch (pairer_.admit(inst.rec, tail_)) {
+    case Drawn::kState: {
+      const slog2::StateDrawable& s = tail_.states.back();
       note_tail(committed_states_, s.start_time, s.end_time, state_live_bytes(s));
-      tail_.states.push_back(std::move(s));
-    } else {
-      ++unmatched_state_ends_;
-      scan_warn(e.rank,
-                util::strprintf("rank %d: end event id %d at t=%.9f has no "
-                                "matching open state",
-                                e.rank, e.event_id, e.timestamp));
+      break;
     }
-  } else if (entry != nullptr && entry->solo_cat >= 0) {
-    note_tail(committed_events_, e.timestamp, e.timestamp,
-              sizeof(slog2::EventDrawable) + e.text.size());
-    tail_.events.push_back(
-        slog2::EventDrawable{entry->solo_cat, e.rank, e.timestamp, e.text});
-  } else {
-    ++unknown_event_ids_;
-    scan_warn(e.rank, util::strprintf("rank %d: event id %d has no definition",
-                                      e.rank, e.event_id));
-  }
-}
-
-void OnlineConverter::admit_msg(const clog2::MsgRec& m) {
-  const bool is_send = m.kind == clog2::MsgRec::Kind::kSend;
-  const MsgKey mkey = is_send ? MsgKey{m.rank, m.partner, m.tag}
-                              : MsgKey{m.partner, m.rank, m.tag};
-  auto& q = msgs_[mkey];
-  // Both queues fill in admitted (= globally sorted) order, so head-of-line
-  // matching pairs the i-th send of the key with its i-th receive — the
-  // offline pairing — and the arrow commits at the later half's key, which
-  // is exactly the key being admitted now.
-  auto* mine = is_send ? &q.sends : &q.recvs;
-  auto* theirs = is_send ? &q.recvs : &q.sends;
-  if (!theirs->empty()) {
-    const clog2::MsgRec& send = is_send ? m : theirs->front();
-    const clog2::MsgRec& recv = is_send ? theirs->front() : m;
-    slog2::ArrowDrawable a;
-    a.src_rank = send.rank;
-    a.dst_rank = recv.rank;
-    a.start_time = send.timestamp;
-    a.end_time = recv.timestamp;
-    a.tag = send.tag;
-    a.size = send.size;
-    open_bytes_ -= sizeof(clog2::MsgRec);
-    theirs->pop_front();
-    note_tail(committed_arrows_, std::min(a.start_time, a.end_time),
-              std::max(a.start_time, a.end_time), detail2::kArrowBytes + 16);
-    tail_.arrows.push_back(a);
-  } else {
-    mine->push_back(m);
-    open_bytes_ += sizeof(clog2::MsgRec);
+    case Drawn::kEvent: {
+      const slog2::EventDrawable& e = tail_.events.back();
+      note_tail(committed_events_, e.time, e.time,
+                sizeof(slog2::EventDrawable) + e.text.size());
+      break;
+    }
+    case Drawn::kArrow: {
+      const slog2::ArrowDrawable& a = tail_.arrows.back();
+      note_tail(committed_arrows_, std::min(a.start_time, a.end_time),
+                std::max(a.start_time, a.end_time), detail2::kArrowBytes + 16);
+      break;
+    }
+    case Drawn::kNothing:
+      break;
   }
 }
 
@@ -267,7 +181,7 @@ void OnlineConverter::seal_tail() {
 }
 
 void OnlineConverter::account() {
-  usage_.live_bytes = tail_bytes_ + heap_bytes_ + open_bytes_;
+  usage_.live_bytes = tail_bytes_ + heap_bytes_ + pairer_.open_bytes();
   usage_.peak_live_bytes = std::max(usage_.peak_live_bytes, usage_.live_bytes);
 }
 
@@ -340,15 +254,6 @@ slog2::detail::Collected OnlineConverter::collect_all() {
   return all;
 }
 
-void OnlineConverter::fill_pairing_stats(slog2::ConvertStats& stats) const {
-  stats.unmatched_state_ends = unmatched_state_ends_;
-  stats.unknown_event_ids = unknown_event_ids_;
-  for (const auto& [key, q] : msgs_) {
-    stats.unmatched_sends += q.sends.size();
-    stats.unmatched_recvs += q.recvs.size();
-  }
-}
-
 std::pair<double, double> OnlineConverter::committed_span() const {
   // assemble() folds all states, then all events, then all arrows; folding
   // the per-kind spans in that order picks the same bounds, signed zeros
@@ -369,64 +274,22 @@ slog2::File OnlineConverter::finalize(std::vector<std::string>* warnings) {
   // final, and the heap pops them in (t, idx) order — the offline sort.
   drain_heap_until(std::numeric_limits<double>::infinity());
 
+  // Ending the pairer appends the never-closed states to the tail, after
+  // every committed state, where convert() appends them too.
   slog2::File out;
   out.nranks = nranks_;
   out.frame_size = opts_.convert.frame_size;
   out.encoding = opts_.convert.encoding;
-  out.categories = categories_;
-  fill_pairing_stats(out.stats);
-
-  detail2::Collected items = collect_all();
-
-  // Replay warnings in the offline order: chronological scan warnings,
-  // unmatched sends per key, unmatched receives per key, unclosed states
-  // per rank.
-  for (const auto& msg : scan_warnings_) detail2::warn(warnings, msg);
-  for (const auto& [key, q] : msgs_)
-    if (!q.sends.empty())
-      detail2::warn(warnings,
-                    util::strprintf("%zu send(s) from rank %d to rank %d tag %d "
-                                    "were never received",
-                                    q.sends.size(), std::get<0>(key),
-                                    std::get<1>(key), std::get<2>(key)));
-  for (const auto& [key, q] : msgs_)
-    if (!q.recvs.empty())
-      detail2::warn(warnings,
-                    util::strprintf("%zu receive(s) at rank %d from rank %d tag %d "
-                                    "have no logged send",
-                                    q.recvs.size(), std::get<1>(key),
-                                    std::get<0>(key), std::get<2>(key)));
-
-  // Close dangling states at the last timestamp so they stay visible.
-  for (auto& [rank, rs] : ranks_) {
-    while (!rs.stack.empty()) {
-      ++out.stats.unclosed_states;
-      auto& open = rs.stack.back();
-      slog2::StateDrawable s;
-      s.category_id = open.category_id;
-      s.rank = rank;
-      s.start_time = open.start_time;
-      s.end_time = last_time_seen_;
-      s.depth = open.depth;
-      s.start_text = std::move(open.start_text);
-      detail2::warn(warnings,
-                    util::strprintf(
-                        "rank %d: state category %d opened at t=%.9f never closed",
-                        rank, s.category_id, s.start_time));
-      rs.stack.pop_back();
-      items.states.push_back(std::move(s));
-    }
-  }
-
-  detail2::assemble(out, std::move(items), any_instance_, opts_.convert,
+  out.categories = pairer_.categories();
+  pairer_.finish(out.stats, tail_, warnings);
+  detail2::assemble(out, collect_all(), pairer_.any_instance(), opts_.convert,
                     util::resolve_threads(opts_.convert.threads), warnings);
 
   // Release working state; the spill file is no longer needed.
   chunks_.clear();
   slog2::FrameCache::global().erase_owner(cache_owner_);
   tail_ = slog2::Frame{};
-  msgs_.clear();
-  ranks_.clear();
+  pairer_ = detail2::Pairer();
   if (!spill_file_.empty()) {
     std::error_code ec;
     std::filesystem::remove(spill_file_, ec);

@@ -1,11 +1,14 @@
 // Online CLOG-2 → SLOG-2 conversion: the incremental core of pilot-traced.
 //
 // OnlineConverter consumes CLOG-2 records one at a time, as they arrive
-// from a live stream, and maintains exactly the intermediate state the
-// offline converter (slog2::convert) would have accumulated over the same
-// prefix — so finalize() hands the shared assemble() tail the same
-// commit-ordered drawable lists and produces a byte-identical SLOG-2 file
-// (pinned by traced_test.cpp across chunk sizes and fixtures).
+// from a live stream, and pairs them with the same slog2::detail::Pairer
+// the offline converter (slog2::convert) runs: a reorder heap hands the
+// pairer its instances in InstKey order, the order convert() admits them
+// in. finalize() ends the pairer and hands the shared assemble() tail the
+// same commit-ordered drawable lists, so the SLOG-2 file is byte-identical
+// (pinned by traced_test.cpp across chunk sizes and fixtures). What is
+// this converter's own is the reorder heap, sealing, spill, usage
+// accounting and the live window visit.
 //
 // Memory is bounded by the *disorder* of the stream, not its length:
 //   * raw bytes are decoded and dropped immediately (clog2::StreamReader),
@@ -14,21 +17,18 @@
 //   * committed drawables accumulate in a bounded tail; once the tail
 //     exceeds seal_bytes it is encoded into an immutable sealed chunk and
 //     (when a spill path is configured) written to disk,
-//   * what remains resident is the tail, the reorder heap, per-rank open
-//     state stacks, unmatched message halves, and the chunk directory.
+//   * what remains resident is the tail, the reorder heap, the pairer's
+//     open states and unmatched message halves, and the chunk directory.
 // finalize() streams the sealed chunks back in commit order, so the full
 // trace is materialized only at the moment the offline converter would
 // have materialized it anyway.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -88,8 +88,8 @@ public:
   /// Consume one record. Definition records must precede all instance
   /// records (the offline converter scans definitions up front; a live
   /// stream cannot). Throws util::IoError on a definition after an
-  /// instance or on an instance more than max_disorder behind the
-  /// watermark.
+  /// instance, on a record clog2::check_record rejects, or on an instance
+  /// more than max_disorder behind the watermark.
   void push(const clog2::Record& rec);
 
   /// Highest instance timestamp seen so far.
@@ -101,7 +101,7 @@ public:
   [[nodiscard]] const OnlineUsage& usage() const { return usage_; }
   [[nodiscard]] std::int32_t nranks() const { return nranks_; }
   [[nodiscard]] const std::vector<slog2::Category>& categories() const {
-    return categories_;
+    return pairer_.categories();
   }
 
   /// Time span of every committed drawable: the t_min/t_max the shared
@@ -131,17 +131,6 @@ private:
     bool operator>(const PendingInst& o) const { return o.key < key; }
   };
 
-  struct RankState {
-    std::vector<slog2::detail::OpenState> stack;
-    std::uint64_t scan_warns = 0;  // per-rank cap, mirrors TimelineOut
-  };
-
-  using MsgKey = std::tuple<std::int32_t, std::int32_t, std::int32_t>;
-  struct MsgQueues {
-    std::deque<clog2::MsgRec> sends;  // unmatched halves, admitted order
-    std::deque<clog2::MsgRec> recvs;
-  };
-
   struct Chunk {
     std::uint64_t offset = 0;  // into the spill file (spill mode)
     std::uint64_t length = 0;  // encoded bytes
@@ -151,8 +140,6 @@ private:
   };
 
   void admit(const PendingInst& inst);
-  void admit_event(const clog2::EventRec& e);
-  void admit_msg(const clog2::MsgRec& m);
   void note_tail(slog2::detail::Span& kind, double lo, double hi,
                  std::uint64_t bytes);
   void maybe_seal();
@@ -161,33 +148,22 @@ private:
   void account();
   [[nodiscard]] slog2::Frame decode_chunk(std::size_t index) const;
   [[nodiscard]] std::shared_ptr<const slog2::Frame> cached_chunk(std::size_t index);
-  void scan_warn(std::int32_t rank, const std::string& msg);
   [[nodiscard]] slog2::detail::Collected collect_all();
-  void fill_pairing_stats(slog2::ConvertStats& stats) const;
 
   OnlineOptions opts_;
   bool begun_ = false;
   bool finalized_ = false;
   std::int32_t nranks_ = 0;
 
-  // Category table + event-id index, grown from definition records.
-  std::vector<slog2::Category> categories_;
-  slog2::detail::EventIdIndex index_;
-  std::int32_t next_cat_ = 1;
-  bool any_instance_ = false;
+  // Pairing, shared with slog2::convert. records_pushed_ is the next
+  // record's stream index, named by the record check's error.
+  slog2::detail::Pairer pairer_;
+  std::uint64_t records_pushed_ = 0;
 
   // Reorder stage.
   std::priority_queue<PendingInst, std::vector<PendingInst>, std::greater<>> heap_;
   std::uint64_t heap_bytes_ = 0;
   double watermark_ = 0.0;
-  double last_admitted_t_ = 0.0;
-  std::uint64_t inst_idx_ = 0;
-  double last_time_seen_ = 0.0;
-
-  // Pairing stage (mirrors the offline per-rank / per-key task state).
-  std::map<std::int32_t, RankState> ranks_;
-  std::map<MsgKey, MsgQueues> msgs_;
-  std::uint64_t open_bytes_ = 0;   // open stacks + unmatched halves
 
   // Committed tail, in commit order per kind; sealed chunks hold the same
   // drawables in the frame-payload codec.
@@ -203,11 +179,6 @@ private:
   std::vector<Chunk> chunks_;
   std::filesystem::path spill_file_;
   slog2::FrameCache::Owner cache_owner_ = 0;
-
-  // Warnings and counters, replayed at finalize in the offline order.
-  std::vector<std::string> scan_warnings_;
-  std::uint64_t unmatched_state_ends_ = 0;
-  std::uint64_t unknown_event_ids_ = 0;
 
   OnlineUsage usage_;
 };

@@ -651,6 +651,42 @@ TEST(FuzzSalvage, HeaderCoversEveryKeptRankAndPartner) {
   EXPECT_EQ(clog2::to_text(back), clog2::to_text(f));
 }
 
+// A non-finite time ends a rank's stream like a torn tail: in an instance,
+// in a sync sample (it would poison the clock fit), or once a clock
+// correction overflows. The salvaged trace passes the checked reader.
+TEST(FuzzSalvage, NonFiniteTimeEndsTheStream) {
+  util::TempDir dir;
+  const auto spill = [&](const std::string& suffix,
+                         const std::vector<clog2::Record>& records) {
+    util::ByteWriter w;
+    for (const clog2::Record& rec : records) clog2::append_record(w, rec);
+    util::write_file(dir.file("n" + suffix), w.bytes());
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  spill(".defs.spill", {clog2::EventDef{1, "ping", "green", ""}});
+  spill(".rank0.spill", {clog2::EventRec{0.1, 0, 1, "kept"},
+                         clog2::EventRec{nan, 0, 1, ""},
+                         clog2::EventRec{0.3, 0, 1, ""}});
+  spill(".rank1.spill", {clog2::EventRec{0.1, 1, 1, "kept"},
+                         clog2::SyncRec{1, inf, 0.1},
+                         clog2::EventRec{0.3, 1, 1, ""}});
+  // One sample: the fit is a pure offset of 1.7e308, so 1e308 overflows.
+  spill(".rank2.spill", {clog2::SyncRec{2, 0.0, 1.7e308},
+                         clog2::EventRec{0.1, 2, 1, "kept"},
+                         clog2::EventRec{1e308, 2, 1, ""},
+                         clog2::EventRec{0.2, 2, 1, ""}});
+  const clog2::File f = mpe::salvage(dir.file("n").string());
+  EXPECT_EQ(f.nranks, 3);
+  ASSERT_EQ(f.count<clog2::EventRec>(), 3u);
+  for (const auto& rec : f.records)
+    if (const auto* e = std::get_if<clog2::EventRec>(&rec)) {
+      EXPECT_EQ(e->text, "kept");
+    }
+  const clog2::File back = clog2::parse(clog2::serialize(f));
+  EXPECT_EQ(clog2::to_text(back), clog2::to_text(f));
+}
+
 TEST(FuzzSalvage, LogsalvageToolRefusesEmptyAndAcceptsFixture) {
   util::TempDir dir;
   // Genuinely empty spill set: defs present, zero-byte rank streams.

@@ -118,6 +118,28 @@ TEST(Convert, UnclosedStateClosedAtLastTimestamp) {
   EXPECT_DOUBLE_EQ(states[0].end_time, 9.0);
 }
 
+// Offline conversion sees the whole file, so a definition applies wherever
+// it sits; a live stream cannot wait for one (Traced.OnlineRejectsLateDefinitions).
+TEST(Convert, DefinitionAfterInstancesStillApplies) {
+  clog2::File in = base_file();
+  add_event(in, 1.0, 0, 40, "begin");
+  add_event(in, 2.0, 0, 41, "end");
+  add_event(in, 3.0, 1, 50);
+  in.records.emplace_back(clog2::StateDef{3, 40, 41, "Late", "blue", ""});
+  in.records.emplace_back(clog2::EventDef{50, "LateMark", "white", ""});
+  std::vector<std::string> warnings;
+  const auto out = slog2::convert(in, {}, &warnings);
+  EXPECT_TRUE(out.stats.clean());
+  EXPECT_EQ(out.stats.unknown_event_ids, 0u);
+  EXPECT_TRUE(warnings.empty());
+  const auto states = all_states(out);
+  ASSERT_EQ(states.size(), 1u);
+  EXPECT_EQ(out.category(states[0].category_id)->name, "Late");
+  EXPECT_EQ(states[0].start_text, "begin");
+  EXPECT_EQ(states[0].end_text, "end");
+  EXPECT_EQ(out.stats.total_events, 1u);
+}
+
 TEST(Convert, MismatchedInterleavingReported) {
   // Start Outer, start Inner, end Outer (violates LIFO), end Inner.
   clog2::File in = base_file();

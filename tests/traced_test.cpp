@@ -34,6 +34,7 @@
 #include "traced/session.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/prng.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -248,6 +249,197 @@ TEST(Traced, OnlineRejectsLateDefinitions) {
   conv.push(clog2::EventDef{1, "ping", "green", ""});
   conv.push(clog2::EventRec{0.5, 0, 1, ""});
   EXPECT_THROW(conv.push(clog2::EventDef{2, "late", "red", ""}), util::IoError);
+}
+
+// The error text a call raises, or "accepted".
+template <typename Fn>
+std::string error_of(const Fn& fn) {
+  try {
+    fn();
+  } catch (const util::IoError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+// A NaN or infinite instance time is not a time: InstKey would stop being a
+// strict weak order, and offline and online once converted such a file to
+// different bytes. Every way in names the record with one text.
+TEST(Traced, NonFiniteTimestampsRejectedAtEveryEntry) {
+  util::TempDir tmp("traced");
+  const clog2::File clean = clog2::parse(tracegen_bytes(2000, 4, 3));
+  std::size_t first_event = 0, first_msg = 0;
+  for (std::size_t i = clean.records.size(); i-- > 0;) {
+    if (std::holds_alternative<clog2::EventRec>(clean.records[i])) first_event = i;
+    if (std::holds_alternative<clog2::MsgRec>(clean.records[i])) first_msg = i;
+  }
+  ASSERT_GT(first_event, 0U);
+  ASSERT_GT(first_msg, 0U);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (const std::size_t at : {first_event, first_msg, clean.records.size() / 2}) {
+      clog2::File f = clean;
+      std::visit(
+          [&](auto& r) {
+            if constexpr (requires { r.timestamp; }) r.timestamp = bad;
+          },
+          f.records[at]);
+      if (!std::holds_alternative<clog2::EventRec>(f.records[at]) &&
+          !std::holds_alternative<clog2::MsgRec>(f.records[at]))
+        continue;
+      const std::string want =
+          util::strprintf("clog2: record %zu: timestamp not finite", at);
+      SCOPED_TRACE(util::strprintf("t=%f at record %zu", bad, at));
+      const auto bytes = clog2::serialize(f);
+      EXPECT_EQ(error_of([&] { clog2::parse(bytes); }), want);
+      EXPECT_EQ(error_of([&] {
+                  clog2::StreamReader reader;
+                  reader.feed(bytes.data(), bytes.size());
+                  clog2::Record rec;
+                  while (reader.next(&rec) == clog2::StreamReader::Status::kRecord) {
+                  }
+                }),
+                want);
+      util::write_file(tmp.file("bad.clog2"), bytes);
+      EXPECT_EQ(error_of([&] {
+                  clog2::stream_text(tmp.file("bad.clog2"), [](const std::string&) {});
+                }),
+                want);
+      for (const int threads : {1, 4}) {
+        slog2::ConvertOptions co;
+        co.threads = threads;
+        EXPECT_EQ(error_of([&] { (void)slog2::convert(f, co); }), want);
+      }
+      EXPECT_EQ(error_of([&] {
+                  traced::OnlineConverter conv;
+                  conv.begin(f.nranks);
+                  for (const auto& rec : f.records) conv.push(rec);
+                  (void)conv.finalize();
+                }),
+                want);
+    }
+  }
+}
+
+// Offline and online pair through one Pairer, offline after sorting the
+// file, online through its reorder heap. Feed both a stream that is out of
+// order within a window below max_disorder, salted with everything the
+// pairing pass must report, and require the same bytes and warnings from
+// every offline thread count and online seal size.
+TEST(Traced, OnlineMatchesOfflineOnDisorderedSaltedStreams) {
+  using Kind = clog2::MsgRec::Kind;
+  clog2::File f = clog2::parse(tracegen_bytes(6000, 6, 5));
+  std::int32_t end_id = -1, start_id = -1;
+  for (const auto& rec : f.records)
+    if (const auto* d = std::get_if<clog2::StateDef>(&rec)) {
+      start_id = d->start_event_id;
+      end_id = d->end_event_id;
+    }
+  ASSERT_GE(end_id, 0);
+  // Definitions stay in front; every instance is salted and shuffled.
+  const auto first_inst = static_cast<std::ptrdiff_t>(std::find_if(
+      f.records.begin(), f.records.end(), [](const clog2::Record& r) {
+        return std::holds_alternative<clog2::EventRec>(r) ||
+               std::holds_alternative<clog2::MsgRec>(r);
+      }) - f.records.begin());
+  std::vector<clog2::Record> insts(f.records.begin() + first_inst, f.records.end());
+  f.records.resize(static_cast<std::size_t>(first_inst));
+  const auto time_of = [](const clog2::Record& r) {
+    if (const auto* e = std::get_if<clog2::EventRec>(&r)) return e->timestamp;
+    return std::get<clog2::MsgRec>(r).timestamp;
+  };
+  const auto rank_of = [](const clog2::Record& r) {
+    if (const auto* e = std::get_if<clog2::EventRec>(&r)) return e->rank;
+    return std::get<clog2::MsgRec>(r).rank;
+  };
+  const double t0 = time_of(insts.front());
+  const double span = time_of(insts.back()) - t0;
+  ASSERT_GT(span, 0.0);
+  const std::size_t base = insts.size();
+  for (std::size_t k = 0; k < 180; ++k) {
+    // Each salt record ties the time of an existing record on another rank.
+    const clog2::Record& host = insts[(k * 61 + 7) % base];
+    const double t = time_of(host);
+    const std::int32_t rank = (rank_of(host) + 1 + static_cast<std::int32_t>(k)) % 6;
+    switch (k % 6) {
+      case 0:  // orphan end
+        insts.emplace_back(clog2::EventRec{t, rank, end_id, "orphan"});
+        break;
+      case 1:  // unknown ids, dense and overflow
+        insts.emplace_back(
+            clog2::EventRec{t, rank, 500 + static_cast<std::int32_t>(k), ""});
+        break;
+      case 2:
+        insts.emplace_back(clog2::EventRec{t, rank, 5000000, "far"});
+        break;
+      case 3:  // a send nobody receives
+        insts.emplace_back(clog2::MsgRec{t, rank, Kind::kSend, (rank + 2) % 6, 900, 8});
+        break;
+      case 4:  // a receive nobody sent
+        insts.emplace_back(clog2::MsgRec{t, rank, Kind::kRecv, (rank + 3) % 6, 901, 8});
+        break;
+      default:  // a state opened after the rank's last end: never closed
+        insts.emplace_back(clog2::EventRec{t0 + span, rank, start_id, "open"});
+        break;
+    }
+  }
+  const double window = span / 64;
+  traced::OnlineOptions oo;
+  oo.max_disorder = 2 * window;
+  for (const bool shuffled : {false, true}) {
+    // Sorted: by time, ties in insertion order. Shuffled: by time plus a
+    // jitter below `window`, so each record arrives at most `window` behind
+    // the watermark.
+    std::vector<std::pair<double, std::size_t>> order;
+    util::SplitMix64 rnd(11);
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+      const double jitter =
+          shuffled ? window * static_cast<double>(rnd.below(1000)) / 1000.0 : 0.0;
+      order.emplace_back(time_of(insts[i]) + jitter, i);
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    clog2::File in = f;
+    for (const auto& [key, i] : order) in.records.push_back(insts[i]);
+    const std::string label = shuffled ? "shuffled" : "sorted";
+
+    std::vector<std::string> want_warnings;
+    std::vector<std::uint8_t> want;
+    for (const int threads : {1, 4}) {
+      slog2::ConvertOptions co;
+      co.threads = threads;
+      std::vector<std::string> warnings;
+      const auto bytes = slog2::serialize(slog2::convert(in, co, &warnings));
+      if (want.empty()) {
+        want = bytes;
+        want_warnings = warnings;
+        continue;
+      }
+      EXPECT_EQ(bytes, want) << label << ": offline threads " << threads;
+      EXPECT_EQ(warnings, want_warnings) << label << ": offline threads " << threads;
+    }
+    ASSERT_EQ(want_warnings.size(), slog2::detail::kMaxWarningMessages) << label;
+    const slog2::File offline = slog2::parse(want);
+    EXPECT_GT(offline.stats.unmatched_state_ends + offline.stats.unknown_event_ids,
+              slog2::detail::kMaxWarningMessages)
+        << label;
+    EXPECT_GT(offline.stats.unmatched_sends, 0U) << label;
+    EXPECT_GT(offline.stats.unmatched_recvs, 0U) << label;
+    EXPECT_GT(offline.stats.unclosed_states, 0U) << label;
+
+    const auto stream = clog2::serialize(in);
+    for (const std::uint64_t seal : {4U * 1024, 256U * 1024}) {
+      oo.seal_bytes = seal;
+      std::vector<std::string> warnings;
+      traced::OnlineUsage usage;
+      const slog2::File online = online_convert(stream, 4096, oo, &warnings, &usage);
+      EXPECT_EQ(slog2::serialize(online), want) << label << ": seal " << seal;
+      EXPECT_EQ(warnings, want_warnings) << label << ": seal " << seal;
+      if (seal == 4U * 1024) {
+        EXPECT_GT(usage.sealed_chunks, 1U) << label;
+      }
+    }
+  }
 }
 
 TEST(Traced, QueryOnLiveSessionEqualsOfflinePrefix) {

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Configure, build, and test the whole tree under UndefinedBehaviorSanitizer
 # (the cmake preset "sanitize-undefined"), then run the record/replay tests,
-# the fault-chaos matrix, and the threaded clog2->slog2 converter under
+# the fault-chaos matrix, and the clog2->slog2 converter under
 # ThreadSanitizer ("sanitize-thread") — the replay engine and the fault
-# injector coordinate every rank thread, and the converter fans work out
-# across a worker pool, so their tests are the highest-value TSan targets —
-# and finally the trace readers and their format suites under
-# AddressSanitizer ("sanitize-address").
+# injector coordinate every rank thread, and the converter's pairing is one
+# serial pass but its Equal-Drawables scans and per-frame preview fills
+# still fan out across a worker pool, so their tests are the highest-value
+# TSan targets — and finally the trace readers, their format suites and the
+# converter under AddressSanitizer ("sanitize-address").
 # (The PipelineScale suite converts with --threads=8; its million-event
 # PipelineLarge sibling stays out of the sanitizer legs by name.)
 # Any sanitizer report fails the run.
@@ -71,12 +72,14 @@ TSAN_OPTIONS="halt_on_error=1" \
 # oracles, out-of-range ranks and partners (once an out-of-bounds index
 # into the per-rank op lists, now a named reader error from every entry
 # point), and the checker on whole Pilot app runs (TraceCheckApp: no crash
-# injection, so no deliver_wire leak).
+# injection, so no deliver_wire leak). 'Convert\.' and 'PipelineScale\.'
+# run the one pairing pass (slog2::detail::Pairer) over hand-made edge
+# cases and whole traces at every --threads value.
 cmake --preset sanitize-address
 cmake --build --preset sanitize-address -j "$(nproc)" \
   --target fault_fuzz_test slog2_test clog2_test slog2_v2_roundtrip_test \
   tools_test query_core_test jumpshot_test traced_test analyze_test \
-  tracediff_test
+  tracediff_test pipeline_scale_test
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   ctest --preset sanitize-address -j "$(nproc)" \
-  -R 'FuzzParsers|FuzzTools|FuzzSalvage|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)' "$@"
+  -R 'FuzzParsers|FuzzTools|FuzzSalvage|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)|Convert\.|PipelineScale\.' "$@"
