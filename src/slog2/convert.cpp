@@ -5,22 +5,17 @@
 // chronological order, InstKey order, the same pass the streaming
 // OnlineConverter (src/traced/) runs as records arrive. Each drawable is
 // appended at its closing instance, so the lists come out commit-ordered
-// with no sort of their own. The assemble() tail then fans out across a
-// small worker pool (ConvertOptions::threads) where the work is
-// independent: the Equal-Drawables scans (one task per drawable kind) and
-// the per-node preview fills (one task per frame). Every task writes only
-// its own slot and results commit in a fixed order, so the emitted file is
-// byte-identical at any thread count, and online and offline emit the
-// same bytes.
+// with no sort of their own. The assemble() tail is serial too: one sort
+// per drawable kind finds the Equal Drawables, and the frame tree is built
+// by splitting small per-kind index arrays in place, so each drawable moves
+// once, into its final frame. Online and offline emit the same bytes.
 #include <algorithm>
-#include <array>
-#include <set>
+#include <numeric>
 #include <tuple>
 
 #include "slog2/convert_internal.hpp"
 #include "slog2/slog2.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace slog2 {
@@ -37,70 +32,6 @@ std::size_t state_bytes(const StateDrawable& s) {
 }
 std::size_t event_bytes(const EventDrawable& e) {
   return sizeof(double) + 2 * sizeof(std::int32_t) + e.text.size();
-}
-
-// Recursive bounded-frame builder: drawables that fit entirely inside a
-// child half-interval sink down until the payload fits the frame-size bound.
-std::unique_ptr<Frame> build_frame(Collected items, double a, double b, int depth,
-                                   const ConvertOptions& opts, ConvertStats& stats) {
-  auto frame = std::make_unique<Frame>();
-  frame->t0 = a;
-  frame->t1 = b;
-  frame->depth = depth;
-
-  std::size_t bytes = 0;
-  for (const auto& s : items.states) bytes += state_bytes(s);
-  for (const auto& e : items.events) bytes += event_bytes(e);
-  bytes += items.arrows.size() * kArrowBytes;
-
-  const bool can_split = depth < opts.max_depth && b > a &&
-                         (b - a) / 2.0 > 0.0 && bytes > opts.frame_size;
-  if (!can_split) {
-    frame->states = std::move(items.states);
-    frame->events = std::move(items.events);
-    frame->arrows = std::move(items.arrows);
-    ++stats.frames;
-    ++stats.leaf_frames;
-    stats.tree_depth = std::max(stats.tree_depth, depth);
-    return frame;
-  }
-
-  const double mid = 0.5 * (a + b);
-  Collected left, right, here;
-  auto place = [&](auto member, auto&& drawable, double s, double e) {
-    if (e <= mid) {
-      (left.*member).push_back(std::move(drawable));
-    } else if (s >= mid) {
-      (right.*member).push_back(std::move(drawable));
-    } else {
-      (here.*member).push_back(std::move(drawable));
-    }
-  };
-  for (auto& s : items.states) {
-    const double st = s.start_time;
-    const double en = s.end_time;
-    place(&Collected::states, std::move(s), st, en);
-  }
-  for (auto& e : items.events) {
-    const double t = e.time;
-    place(&Collected::events, std::move(e), t, t);
-  }
-  for (auto& ar : items.arrows) {
-    const double lo = std::min(ar.start_time, ar.end_time);
-    const double hi = std::max(ar.start_time, ar.end_time);
-    place(&Collected::arrows, std::move(ar), lo, hi);
-  }
-  frame->states = std::move(here.states);
-  frame->events = std::move(here.events);
-  frame->arrows = std::move(here.arrows);
-
-  ++stats.frames;
-  if (!left.states.empty() || !left.events.empty() || !left.arrows.empty())
-    frame->left = build_frame(std::move(left), a, mid, depth + 1, opts, stats);
-  if (!right.states.empty() || !right.events.empty() || !right.arrows.empty())
-    frame->right = build_frame(std::move(right), mid, b, depth + 1, opts, stats);
-  stats.tree_depth = std::max(stats.tree_depth, depth);
-  return frame;
 }
 
 Pairer::Pairer(std::int32_t nranks) : nranks_(nranks) {
@@ -279,35 +210,145 @@ void add_event_count(Preview& pv, double node_t0, double node_t1, std::int32_t c
 }
 
 // Every drawable contributes to the preview of its own frame and of every
-// ancestor, so any node's preview summarizes its whole subtree. Instead of
-// pushing contributions up an ancestor path (which serializes on the shared
-// ancestors), each node *pulls* from its subtree — node previews are
-// independent, so they fan out across the worker pool. The subtree is
-// walked in preorder, the same order the ancestor-path formulation added
-// contributions in, so the float sums are bit-identical to the sequential
-// result.
-void fill_preview_from_subtree(Frame& node, int nbuckets) {
-  node.preview.nbuckets = nbuckets;
-  std::vector<const Frame*> stack = {&node};
-  while (!stack.empty()) {
-    const Frame* f = stack.back();
-    stack.pop_back();
-    for (const auto& s : f->states)
-      add_occupancy(node.preview, node.t0, node.t1, s.category_id, s.start_time,
+// ancestor, so any node's preview summarizes its whole subtree. A preorder
+// walk adds each frame's drawables to every node on its ancestor path, so
+// each node's float sums run over its subtree in preorder.
+void push_previews(Frame& f, int nbuckets, std::vector<Frame*>& path) {
+  f.preview.nbuckets = nbuckets;
+  path.push_back(&f);
+  for (Frame* node : path) {
+    for (const auto& s : f.states)
+      add_occupancy(node->preview, node->t0, node->t1, s.category_id, s.start_time,
                     s.end_time);
-    for (const auto& e : f->events)
-      add_event_count(node.preview, node.t0, node.t1, e.category_id, e.time);
-    node.preview.arrow_count += static_cast<std::uint32_t>(f->arrows.size());
-    if (f->right) stack.push_back(f->right.get());
-    if (f->left) stack.push_back(f->left.get());
+    for (const auto& e : f.events)
+      add_event_count(node->preview, node->t0, node->t1, e.category_id, e.time);
+    node->preview.arrow_count += static_cast<std::uint32_t>(f.arrows.size());
   }
+  if (f.left) push_previews(*f.left, nbuckets, path);
+  if (f.right) push_previews(*f.right, nbuckets, path);
+  path.pop_back();
 }
 
-void collect_frames(Frame& f, std::vector<Frame*>& out) {
-  out.push_back(&f);
-  if (f.left) collect_frames(*f.left, out);
-  if (f.right) collect_frames(*f.right, out);
+// Counts one drawable kind's Equal Drawables, the drawables whose key equals
+// an earlier one's, and warns for the first of them in commit order. Sorting
+// (key, index) puts each equal run in commit order, so every element after a
+// run's first is a duplicate. Keys lead with the times: the lists are close
+// to time order already, and any field order finds the same equal runs.
+template <class T, class KeyFn, class TextFn>
+void equal_drawables(const std::vector<T>& items, ConvertStats& stats,
+                     std::vector<std::string>* warnings, KeyFn key, TextFn text) {
+  std::vector<std::pair<decltype(key(items.front())), std::uint32_t>> keyed;
+  keyed.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    keyed.emplace_back(key(items[i]), static_cast<std::uint32_t>(i));
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::uint32_t> dups;
+  for (std::size_t i = 1; i < keyed.size(); ++i)
+    if (!(keyed[i - 1].first < keyed[i].first)) dups.push_back(keyed[i].second);
+  stats.equal_drawables += dups.size();
+  const auto shown = std::min(dups.size(), detail::kMaxWarningMessages);
+  std::partial_sort(dups.begin(), dups.begin() + static_cast<std::ptrdiff_t>(shown),
+                    dups.end());
+  for (std::size_t i = 0; i < shown; ++i) detail::warn(warnings, text(items[dups[i]]));
 }
+
+// Bounded-frame tree builder: drawables that fit entirely inside a child
+// half-interval sink down until the payload fits the frame-size bound. Each
+// drawable's extent and payload are computed once, under one index: states,
+// then events, then arrows, each in commit order. A node partitions its
+// range of the index array in place and stably, so every range stays in
+// index order, and each drawable is moved once, into its final frame.
+class TreeBuilder {
+public:
+  TreeBuilder(detail::Collected& items, const ConvertOptions& opts, ConvertStats& stats)
+      : items_(items), opts_(opts), stats_(stats) {
+    extent_.reserve(items.states.size() + items.events.size() + items.arrows.size());
+    for (const auto& s : items.states)
+      extent_.push_back({s.start_time, s.end_time, detail::state_bytes(s)});
+    for (const auto& e : items.events)
+      extent_.push_back({e.time, e.time, detail::event_bytes(e)});
+    for (const auto& a : items.arrows)
+      extent_.push_back({std::min(a.start_time, a.end_time),
+                         std::max(a.start_time, a.end_time), detail::kArrowBytes});
+    order_.resize(extent_.size());
+    scratch_.resize(extent_.size());
+    std::iota(order_.begin(), order_.end(), std::uint32_t{0});
+  }
+
+  // Sets out's time span, the least start and the greatest end of the
+  // drawables folded in order, and builds its tree over that span.
+  void build(File& out, bool any_instance) {
+    detail::Span span;
+    for (const auto& x : extent_) span.widen(x.lo, x.hi);
+    if (any_instance && span.lo <= span.hi) {
+      out.t_min = span.lo;
+      out.t_max = span.hi;
+    }
+    out.root = node(order_.begin(), order_.end(), out.t_min, out.t_max, 0);
+  }
+
+private:
+  struct Extent {
+    double lo, hi;
+    std::size_t bytes;
+  };
+  using It = std::vector<std::uint32_t>::iterator;
+
+  std::unique_ptr<Frame> node(It first, It last, double a, double b, int depth) {
+    auto frame = std::make_unique<Frame>();
+    frame->t0 = a;
+    frame->t1 = b;
+    frame->depth = depth;
+    ++stats_.frames;
+    stats_.tree_depth = std::max(stats_.tree_depth, depth);
+    std::size_t bytes = 0;
+    for (It it = first; it != last; ++it) bytes += extent_[*it].bytes;
+    const bool can_split = depth < opts_.max_depth && b > a &&
+                           (b - a) / 2.0 > 0.0 && bytes > opts_.frame_size;
+    if (!can_split) {
+      ++stats_.leaf_frames;
+      take(*frame, first, last);
+      return frame;
+    }
+    // A drawable ending at or before mid goes left, else one starting at or
+    // after mid goes right, else it stays here: [left | right | here], each
+    // in order. scratch_ takes the right group from its front and the here
+    // group from its back.
+    const double mid = 0.5 * (a + b);
+    It right = first, to_right = scratch_.begin(), to_here = scratch_.end();
+    for (It it = first; it != last; ++it) {
+      if (extent_[*it].hi <= mid) *right++ = *it;
+      else if (extent_[*it].lo >= mid) *to_right++ = *it;
+      else *--to_here = *it;
+    }
+    const It here = std::copy(scratch_.begin(), to_right, right);
+    std::reverse_copy(to_here, scratch_.end(), here);
+    take(*frame, here, last);
+    if (right != first) frame->left = node(first, right, a, mid, depth + 1);
+    if (here != right) frame->right = node(right, here, mid, b, depth + 1);
+    return frame;
+  }
+
+  // Moves the drawables of the ascending index range [first, last) into `f`.
+  void take(Frame& f, It first, It last) {
+    const std::size_t ns = items_.states.size(), ne = items_.events.size();
+    const It events = std::lower_bound(first, last, ns);
+    const It arrows = std::lower_bound(events, last, ns + ne);
+    const auto move_into = [](auto& to, auto& from, It it, It stop, std::size_t base) {
+      to.reserve(static_cast<std::size_t>(stop - it));
+      for (; it != stop; ++it) to.push_back(std::move(from[*it - base]));
+    };
+    move_into(f.states, items_.states, first, events, 0);
+    move_into(f.events, items_.events, events, arrows, ns);
+    move_into(f.arrows, items_.arrows, arrows, last, ns + ne);
+  }
+
+  detail::Collected& items_;
+  const ConvertOptions& opts_;
+  ConvertStats& stats_;
+  std::vector<Extent> extent_;
+  std::vector<std::uint32_t> order_, scratch_;
+};
 
 }  // namespace
 
@@ -321,83 +362,46 @@ std::size_t Frame::payload_bytes() const {
 
 namespace detail {
 
+void fill_previews(Frame& root, int nbuckets) {
+  std::vector<Frame*> path;
+  push_previews(root, nbuckets, path);
+}
+
 void assemble(File& out, Collected items, bool any_instance,
-              const ConvertOptions& opts, int nthreads,
-              std::vector<std::string>* warnings) {
-  // --- "Equal Drawables" detection -------------------------------------------
-  // The three drawable kinds are independent scans; fan them out, then emit
-  // their warnings in the fixed kind order (arrows, states, events).
-  {
-    std::array<std::vector<std::string>, 3> kind_warns;
-    std::array<std::uint64_t, 3> kind_counts{};
-    util::parallel_for(std::size_t{3}, nthreads, [&](std::size_t kind) {
-      // Counts one duplicate; true while its message still fits under the
-      // cap, so a message is formatted only when it is kept.
-      const auto count_duplicate = [&] {
-        ++kind_counts[kind];
-        return kind_warns[kind].size() < kMaxWarningMessages;
-      };
-      if (kind == 0) {
-        std::set<std::tuple<std::int32_t, std::int32_t, double, double>> seen;
-        for (const auto& a : items.arrows)
-          if (!seen.insert({a.src_rank, a.dst_rank, a.start_time, a.end_time})
-                   .second &&
-              count_duplicate())
-            kind_warns[kind].push_back(util::strprintf(
-                "Equal Drawables: arrows %d->%d share start=%.9f end=%.9f",
-                a.src_rank, a.dst_rank, a.start_time, a.end_time));
-      } else if (kind == 1) {
-        std::set<std::tuple<std::int32_t, std::int32_t, double, double>> seen;
-        for (const auto& s : items.states)
-          if (!seen.insert({s.category_id, s.rank, s.start_time, s.end_time})
-                   .second &&
-              count_duplicate())
-            kind_warns[kind].push_back(util::strprintf(
-                "Equal Drawables: states cat=%d rank=%d share start=%.9f "
-                "end=%.9f",
-                s.category_id, s.rank, s.start_time, s.end_time));
-      } else {
-        std::set<std::tuple<std::int32_t, std::int32_t, double>> seen;
-        for (const auto& e : items.events)
-          if (!seen.insert({e.category_id, e.rank, e.time}).second &&
-              count_duplicate())
-            kind_warns[kind].push_back(util::strprintf(
-                "Equal Drawables: events cat=%d rank=%d share t=%.9f",
-                e.category_id, e.rank, e.time));
-      }
-    });
-    for (std::size_t kind = 0; kind < 3; ++kind) {
-      out.stats.equal_drawables += kind_counts[kind];
-      for (const auto& msg : kind_warns[kind]) warn(warnings, msg);
-    }
-  }
+              const ConvertOptions& opts, std::vector<std::string>* warnings) {
+  // --- "Equal Drawables" detection, warned in kind order ---------------------
+  equal_drawables(
+      items.arrows, out.stats, warnings,
+      [](const auto& a) {
+        return std::tuple{a.end_time, a.start_time, a.src_rank, a.dst_rank};
+      },
+      [](const auto& a) {
+        return util::strprintf("Equal Drawables: arrows %d->%d share start=%.9f end=%.9f",
+                               a.src_rank, a.dst_rank, a.start_time, a.end_time);
+      });
+  equal_drawables(
+      items.states, out.stats, warnings,
+      [](const auto& s) {
+        return std::tuple{s.end_time, s.start_time, s.category_id, s.rank};
+      },
+      [](const auto& s) {
+        return util::strprintf(
+            "Equal Drawables: states cat=%d rank=%d share start=%.9f end=%.9f",
+            s.category_id, s.rank, s.start_time, s.end_time);
+      });
+  equal_drawables(
+      items.events, out.stats, warnings,
+      [](const auto& e) { return std::tuple{e.time, e.category_id, e.rank}; },
+      [](const auto& e) {
+        return util::strprintf("Equal Drawables: events cat=%d rank=%d share t=%.9f",
+                               e.category_id, e.rank, e.time);
+      });
 
   out.stats.total_states = items.states.size();
   out.stats.total_events = items.events.size();
   out.stats.total_arrows = items.arrows.size();
-
-  // --- time span -------------------------------------------------------------
-  if (any_instance) {
-    Span span;
-    for (const auto& s : items.states) span.widen(s.start_time, s.end_time);
-    for (const auto& e : items.events) span.widen(e.time, e.time);
-    for (const auto& a : items.arrows)
-      span.widen(std::min(a.start_time, a.end_time),
-                 std::max(a.start_time, a.end_time));
-    if (span.lo <= span.hi) {
-      out.t_min = span.lo;
-      out.t_max = span.hi;
-    }
-  }
-
-  // --- frame tree + previews --------------------------------------------------
-  out.root = build_frame(std::move(items), out.t_min, out.t_max, 0, opts, out.stats);
-  std::vector<Frame*> nodes;
-  nodes.reserve(static_cast<std::size_t>(out.stats.frames));
-  collect_frames(*out.root, nodes);
-  util::parallel_for(nodes.size(), nthreads, [&](std::size_t i) {
-    fill_preview_from_subtree(*nodes[i], opts.preview_buckets);
-  });
+  TreeBuilder(items, opts, out.stats).build(out, any_instance);
+  fill_previews(*out.root, opts.preview_buckets);
 }
 
 }  // namespace detail
@@ -408,7 +412,6 @@ File convert(const clog2::File& in, const ConvertOptions& opts,
     throw util::UsageError("slog2::convert: frame_size must be positive");
   if (opts.max_depth < 0 || opts.max_depth > 48)
     throw util::UsageError("slog2::convert: max_depth out of range");
-  const int nthreads = util::resolve_threads(opts.threads);
 
   File out;
   out.nranks = in.nranks;
@@ -444,7 +447,7 @@ File convert(const clog2::File& in, const ConvertOptions& opts,
   detail::assemble(out,
                    detail::Collected{std::move(drawn.states), std::move(drawn.events),
                                      std::move(drawn.arrows)},
-                   pairer.any_instance(), opts, nthreads, warnings);
+                   pairer.any_instance(), opts, warnings);
   return out;
 }
 

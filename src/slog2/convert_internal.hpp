@@ -1,9 +1,9 @@
 // Internal pieces of the CLOG-2 → SLOG-2 conversion shared by the offline
 // converter (convert.cpp) and the streaming OnlineConverter in src/traced/.
 // Both run the one Pairer over their instances in InstKey order and feed
-// the commit-ordered drawable lists it appends into the same assemble()
-// tail, which is what makes the online finalize() output byte-identical to
-// the offline converter on the same records.
+// the commit-ordered drawable lists it appends into the same serial
+// assemble() tail, which is what makes the online finalize() output
+// byte-identical to the offline converter on the same records.
 //
 // It also holds the per-frame visit and drawable text the readers in
 // serialize.cpp share with File, and the frame-payload codec serialize()
@@ -192,21 +192,20 @@ struct Span {
   }
 };
 
-/// Recursive bounded-frame builder: drawables that fit entirely inside a
-/// child half-interval sink down until the payload fits the frame-size
-/// bound.
-std::unique_ptr<Frame> build_frame(Collected items, double a, double b, int depth,
-                                   const ConvertOptions& opts, ConvertStats& stats);
+/// Fill every node's preview with its whole subtree (see Frame::preview).
+void fill_previews(Frame& node, int nbuckets);
 
-/// The conversion tail shared by convert() and OnlineConverter::finalize():
-/// Equal-Drawables detection, drawable totals, the global time span, and
-/// the frame tree with its previews. `items` must already be in global
-/// commit order per kind (see Collected); `out` must already carry nranks,
-/// frame_size, the category table, and the pairing-stage stats
-/// (unmatched/unclosed/unknown counters).
+/// The conversion tail shared by convert() and OnlineConverter::finalize(),
+/// one serial pass: Equal-Drawables detection (one sort per kind), drawable
+/// totals, the global time span, and the frame tree with its previews.
+/// The tree build computes each drawable's extent and payload once,
+/// partitions an index array in place down the tree, and moves each
+/// drawable once, into its final frame, in commit order. `items` must
+/// already be in global commit order per kind (see Collected); `out` must
+/// already carry nranks, frame_size, the category table, and the
+/// pairing-stage stats (unmatched/unclosed/unknown counters).
 void assemble(File& out, Collected items, bool any_instance,
-              const ConvertOptions& opts, int nthreads,
-              std::vector<std::string>* warnings);
+              const ConvertOptions& opts, std::vector<std::string>* warnings);
 
 /// Call back every drawable of `f` whose time range intersects [a, b] —
 /// the per-frame step of File::visit_window and Navigator::visit_window.

@@ -179,10 +179,9 @@ struct ConvertOptions {
   std::uint64_t frame_size = 64 * 1024;
   int max_depth = 24;
   int preview_buckets = 32;
-  /// Worker threads for the parallel stages after pairing (the
-  /// Equal-Drawables scans, one per drawable kind, and the per-frame
-  /// preview fills); pairing itself is one serial pass in instance order.
-  /// 0 = hardware concurrency. Output is byte-identical at any value.
+  /// Accepted for compatibility (`--threads` on pilot-clog2toslog2 and
+  /// pilot-traced); it no longer changes conversion, which is one serial
+  /// pass whatever the value.
   int threads = 0;
   /// Frame payload encoding for the serialized output. Does not affect the
   /// in-memory File beyond File::encoding: the frame tree, previews, and

@@ -7,7 +7,6 @@
 
 #include "slog2/frame_cache.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace traced {
@@ -56,7 +55,7 @@ double OnlineConverter::admitted_frontier() const {
   return watermark_ - opts_.max_disorder;
 }
 
-void OnlineConverter::push(const clog2::Record& rec) {
+void OnlineConverter::push(clog2::Record rec) {
   if (!begun_) throw util::UsageError("OnlineConverter::push before begin()");
   if (finalized_) throw util::UsageError("OnlineConverter::push after finalize()");
   const std::uint64_t index = records_pushed_++;
@@ -89,7 +88,7 @@ void OnlineConverter::push(const clog2::Record& rec) {
         opts_.max_disorder, key.t, watermark_));
 
   heap_bytes_ += sizeof(PendingInst) + 64;  // rough per-record footprint
-  heap_.push(PendingInst{key, rec});
+  heap_.push(PendingInst{key, std::move(rec)});
   ++usage_.records;
   watermark_ = std::max(watermark_, key.t);
 
@@ -248,9 +247,10 @@ slog2::detail::Collected OnlineConverter::collect_all() {
     std::move(c.events.begin(), c.events.end(), std::back_inserter(all.events));
     std::move(c.arrows.begin(), c.arrows.end(), std::back_inserter(all.arrows));
   }
-  all.states.insert(all.states.end(), tail_.states.begin(), tail_.states.end());
-  all.events.insert(all.events.end(), tail_.events.begin(), tail_.events.end());
-  all.arrows.insert(all.arrows.end(), tail_.arrows.begin(), tail_.arrows.end());
+  // finalize() resets the tail right after, so its drawables move too.
+  std::move(tail_.states.begin(), tail_.states.end(), std::back_inserter(all.states));
+  std::move(tail_.events.begin(), tail_.events.end(), std::back_inserter(all.events));
+  std::move(tail_.arrows.begin(), tail_.arrows.end(), std::back_inserter(all.arrows));
   return all;
 }
 
@@ -283,7 +283,7 @@ slog2::File OnlineConverter::finalize(std::vector<std::string>* warnings) {
   out.categories = pairer_.categories();
   pairer_.finish(out.stats, tail_, warnings);
   detail2::assemble(out, collect_all(), pairer_.any_instance(), opts_.convert,
-                    util::resolve_threads(opts_.convert.threads), warnings);
+                    warnings);
 
   // Release working state; the spill file is no longer needed.
   chunks_.clear();

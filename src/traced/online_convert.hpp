@@ -4,11 +4,11 @@
 // from a live stream, and pairs them with the same slog2::detail::Pairer
 // the offline converter (slog2::convert) runs: a reorder heap hands the
 // pairer its instances in InstKey order, the order convert() admits them
-// in. finalize() ends the pairer and hands the shared assemble() tail the
-// same commit-ordered drawable lists, so the SLOG-2 file is byte-identical
-// (pinned by traced_test.cpp across chunk sizes and fixtures). What is
-// this converter's own is the reorder heap, sealing, spill, usage
-// accounting and the live window visit.
+// in. finalize() ends the pairer and moves the same commit-ordered drawable
+// lists into the shared serial assemble() tail, so the SLOG-2 file is
+// byte-identical (pinned by traced_test.cpp across chunk sizes and
+// fixtures). What is this converter's own is the reorder heap, sealing,
+// spill, usage accounting and the live window visit.
 //
 // Memory is bounded by the *disorder* of the stream, not its length:
 //   * raw bytes are decoded and dropped immediately (clog2::StreamReader),
@@ -89,8 +89,10 @@ public:
   /// records (the offline converter scans definitions up front; a live
   /// stream cannot). Throws util::IoError on a definition after an
   /// instance, on a record clog2::check_record rejects, or on an instance
-  /// more than max_disorder behind the watermark.
-  void push(const clog2::Record& rec);
+  /// more than max_disorder behind the watermark. The record is taken by
+  /// value: a caller done with it moves it in, texts and all, and the
+  /// reorder heap keeps it without a copy.
+  void push(clog2::Record rec);
 
   /// Highest instance timestamp seen so far.
   [[nodiscard]] double watermark() const { return watermark_; }

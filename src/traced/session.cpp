@@ -1,6 +1,7 @@
 #include "traced/session.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -35,7 +36,7 @@ void Session::feed(const std::uint8_t* data, std::size_t n) {
         phase_ = SessionPhase::kComplete;
         break;
       }
-      conv_.push(rec);
+      conv_.push(std::move(rec));
     }
   } catch (const util::Error& e) {
     fail(e.what());

@@ -771,7 +771,7 @@ slog2::File committed_file(traced::OnlineConverter& conv,
       [&](const slog2::ArrowDrawable& a) { items.arrows.push_back(a); });
   const bool any =
       !items.states.empty() || !items.events.empty() || !items.arrows.empty();
-  slog2::detail::assemble(f, std::move(items), any, oo.convert, 1, nullptr);
+  slog2::detail::assemble(f, std::move(items), any, oo.convert, nullptr);
   return f;
 }
 

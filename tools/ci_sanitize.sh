@@ -3,13 +3,14 @@
 # (the cmake preset "sanitize-undefined"), then run the record/replay tests,
 # the fault-chaos matrix, and the clog2->slog2 converter under
 # ThreadSanitizer ("sanitize-thread") — the replay engine and the fault
-# injector coordinate every rank thread, and the converter's pairing is one
-# serial pass but its Equal-Drawables scans and per-frame preview fills
-# still fan out across a worker pool, so their tests are the highest-value
-# TSan targets — and finally the trace readers, their format suites and the
-# converter under AddressSanitizer ("sanitize-address").
-# (The PipelineScale suite converts with --threads=8; its million-event
-# PipelineLarge sibling stays out of the sanitizer legs by name.)
+# injector coordinate every rank thread, so their tests are the
+# highest-value TSan targets; the converter is one serial pass (pairing and
+# the assemble() tail alike) and stays in the leg beside them — and finally
+# the trace readers, their format suites and the converter under
+# AddressSanitizer ("sanitize-address").
+# (The PipelineScale suite still passes --threads=8, which conversion
+# accepts and no longer reads; its million-event PipelineLarge sibling
+# stays out of the sanitizer legs by name.)
 # Any sanitizer report fails the run.
 #
 # Usage: tools/ci_sanitize.sh [extra ctest args...]
@@ -74,7 +75,9 @@ TSAN_OPTIONS="halt_on_error=1" \
 # point), and the checker on whole Pilot app runs (TraceCheckApp: no crash
 # injection, so no deliver_wire leak). 'Convert\.' and 'PipelineScale\.'
 # run the one pairing pass (slog2::detail::Pairer) over hand-made edge
-# cases and whole traces at every --threads value.
+# cases and whole traces at every --threads value, and hold the conversion
+# tail's in-place tree build and sorted Equal-Drawables scan to their
+# serial oracle (tests/convert_oracle.hpp) on the same kinds of input.
 cmake --preset sanitize-address
 cmake --build --preset sanitize-address -j "$(nproc)" \
   --target fault_fuzz_test slog2_test clog2_test slog2_v2_roundtrip_test \

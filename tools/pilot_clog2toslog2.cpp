@@ -34,7 +34,7 @@ int run(int argc, char** argv) {
   slog2::ConvertOptions opts;
   opts.frame_size = static_cast<std::uint64_t>(args.get_int_or("framesize", 64 * 1024));
   opts.max_depth = static_cast<int>(args.get_int_or("maxdepth", 24));
-  // 0 = hardware concurrency; output is byte-identical at any thread count.
+  // Still accepted; conversion is one serial pass and no longer reads it.
   opts.threads = util::parse_threads(args);
   // v1 = fixed-width record payloads (default, readable by old tools);
   // v2 = columnar delta-varint payloads (smaller, needs a v2-aware reader).
