@@ -4,6 +4,7 @@
 // with and without sync, across drift magnitudes and sync-round counts.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "bench_common.hpp"
 #include "mpe/mpe.hpp"
@@ -47,12 +48,14 @@ double measure_spread(double max_offset, double max_skew, bool sync, int rounds,
   });
 
   const auto file = clog2::read_file(path);
-  std::vector<double> stamps;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
   for (const auto& rec : file.records)
-    if (const auto* e = std::get_if<clog2::EventRec>(&rec))
-      stamps.push_back(e->timestamp);
-  return *std::max_element(stamps.begin(), stamps.end()) -
-         *std::min_element(stamps.begin(), stamps.end());
+    if (const auto* e = std::get_if<clog2::EventRec>(&rec)) {
+      lo = std::min(lo, e->timestamp);
+      hi = std::max(hi, e->timestamp);
+    }
+  return hi - lo;
 }
 
 }  // namespace

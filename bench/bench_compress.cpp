@@ -38,17 +38,17 @@ double ms_since(const std::chrono::steady_clock::time_point& t0) {
 
 std::size_t v1_payload_bytes(const slog2::File& f) {
   std::size_t total = 0;
-  f.visit_frames([&](const slog2::Frame& fr) { total += fr.payload_bytes(); });
+  for (const slog2::Frame& fr : f.frames) total += fr.payload_bytes();
   return total;
 }
 
 std::size_t v2_payload_bytes(const slog2::File& f) {
   std::size_t total = 0;
-  f.visit_frames([&](const slog2::Frame& fr) {
+  for (const slog2::Frame& fr : f.frames) {
     util::ByteWriter w;
     slog2::detail::encode_drawables_v2(w, fr.states, fr.events, fr.arrows);
     total += w.bytes().size();
-  });
+  }
   return total;
 }
 

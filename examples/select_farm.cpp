@@ -20,7 +20,6 @@ PI_CHANNEL* g_request[kMaxWorkers];  // worker -> main: "give me work"
 PI_CHANNEL* g_task[kMaxWorkers];     // main -> worker: [lo, hi) chunk
 PI_CHANNEL* g_answer[kMaxWorkers];   // worker -> main: partial result
 PI_BUNDLE* g_requests_bundle;
-PI_BUNDLE* g_stop_bundle;
 PI_BUNDLE* g_reduce_bundle;
 
 // An intentionally uneven integrand: cost grows with x, so static

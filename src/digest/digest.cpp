@@ -275,8 +275,8 @@ Digest analyze(slog2::Navigator& nav, const Options& opts) {
   std::map<std::pair<std::int32_t, std::int32_t>, EdgeRow> edges;
   std::vector<double> latencies_scratch;
 
-  // Frame decode runs on opts.threads workers; the callbacks below fire
-  // serially in traversal order, so every accumulator sees the serial feed.
+  // One serial visit: the callbacks below fire in the walk's frame order,
+  // the same feed File::visit_window gives.
   nav.visit_window(
       a, b,
       [&](const slog2::StateDrawable& s) {
@@ -315,8 +315,7 @@ Digest analyze(slog2::Navigator& nav, const Options& opts) {
         ++e.count;
         e.bytes += ar.size;
         e.mean_latency += ar.end_time - ar.start_time;  // sum; divided below
-      },
-      opts.threads);
+      });
 
   // Rank table.
   std::int32_t rank = 0;

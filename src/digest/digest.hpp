@@ -49,9 +49,10 @@ struct Options {
   /// An edge is anomalous when its mean arrow latency is >=
   /// latency_threshold times the median edge's mean latency.
   double latency_threshold = 4.0;
-  /// Worker threads for frame decode, the legend sweep, and the per-rank
-  /// motif collapse (0 = one per hardware thread). The digest stays a pure
-  /// function of (trace, options): output is byte-identical at any value.
+  /// Worker threads for the legend sweep and the per-rank motif collapse
+  /// (0 = one per hardware thread); frame decode is serial. The digest stays
+  /// a pure function of (trace, options): output is byte-identical at any
+  /// value.
   int threads = 1;
 };
 

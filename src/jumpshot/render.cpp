@@ -488,10 +488,7 @@ std::string render_svg(slog2::Navigator& nav, const RenderOptions& opts) {
   src.t_min = nav.t_min();
   src.t_max = nav.t_max();
   src.categories = &nav.categories();
-  src.visit = [&nav, &opts](double wa, double wb, const auto& on_state,
-                            const auto& on_event, const auto& on_arrow) {
-    nav.visit_window(wa, wb, on_state, on_event, on_arrow, opts.threads);
-  };
+  src.visit = std::bind_front(&slog2::Navigator::visit_window, &nav);
   return render_svg(src, opts);
 }
 

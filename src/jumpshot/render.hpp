@@ -42,8 +42,9 @@ struct RenderOptions {
   /// before the render falls back to the stored preview histograms
   /// (outline form) instead of touching leaf payloads at all.
   std::uint64_t lod_payload_budget = 4 * 1024 * 1024;
-  /// Navigator renders only: worker threads for the window's frame decode
-  /// (0 = one per hardware thread). The SVG is byte-identical at any value.
+  /// Accepted for existing callers and not read by the renderer: a
+  /// window's frames are decoded serially. (pilot-jumpshot also passes it to
+  /// the legend's per-rank sweeps.)
   int threads = 1;
   std::string title;
   /// Y-axis labels; defaults to "0".."N-1" (PI_SetName feeds real names).

@@ -1,10 +1,10 @@
 // Window-scoped SLOG-2 sweeps over a Navigator.
 //
-// Both ride Navigator::visit_window, which decodes the touched frames in
-// parallel (through the shared frame cache) and then feeds their drawables
-// serially in traversal order — the same feed a plain visit produces, so
-// the results are byte-identical at any thread count. legend_window's
-// per-rank nesting sweep is sharded later, in LegendSweep::totals.
+// Both are one serial Navigator::visit_window feed: the touched frames are
+// decoded (or fetched from the shared frame cache) one at a time in the
+// walk's order. legend_window's per-rank nesting sweep is sharded later, in
+// LegendSweep::totals. The `threads` arguments are accepted for existing
+// callers and not read; the results never depended on them.
 #pragma once
 
 #include <cstdint>
@@ -14,11 +14,12 @@
 
 namespace query {
 
-/// Legend sweep of `nav`'s window [a, b]; `threads` = 0 means hardware.
+/// Legend sweep of `nav`'s window [a, b]; `threads` is not read.
 LegendSweep legend_window(slog2::Navigator& nav, double a, double b,
                           int threads = 0);
 
-/// Occupancy of `nav`'s window [a, b] over `nranks` ranks.
+/// Occupancy of `nav`'s window [a, b] over `nranks` ranks; `threads` is not
+/// read.
 WindowOccupancy occupancy_window(slog2::Navigator& nav, std::int32_t nranks,
                                  double a, double b, int threads = 0);
 

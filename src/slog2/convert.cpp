@@ -209,26 +209,6 @@ void add_event_count(Preview& pv, double node_t0, double node_t1, std::int32_t c
   buckets[static_cast<std::size_t>(idx)]++;
 }
 
-// Every drawable contributes to the preview of its own frame and of every
-// ancestor, so any node's preview summarizes its whole subtree. A preorder
-// walk adds each frame's drawables to every node on its ancestor path, so
-// each node's float sums run over its subtree in preorder.
-void push_previews(Frame& f, int nbuckets, std::vector<Frame*>& path) {
-  f.preview.nbuckets = nbuckets;
-  path.push_back(&f);
-  for (Frame* node : path) {
-    for (const auto& s : f.states)
-      add_occupancy(node->preview, node->t0, node->t1, s.category_id, s.start_time,
-                    s.end_time);
-    for (const auto& e : f.events)
-      add_event_count(node->preview, node->t0, node->t1, e.category_id, e.time);
-    node->preview.arrow_count += static_cast<std::uint32_t>(f.arrows.size());
-  }
-  if (f.left) push_previews(*f.left, nbuckets, path);
-  if (f.right) push_previews(*f.right, nbuckets, path);
-  path.pop_back();
-}
-
 // Counts one drawable kind's Equal Drawables, the drawables whose key equals
 // an earlier one's, and warns for the first of them in commit order. Sorting
 // (key, index) puts each equal run in commit order, so every element after a
@@ -284,7 +264,7 @@ public:
       out.t_min = span.lo;
       out.t_max = span.hi;
     }
-    out.root = node(order_.begin(), order_.end(), out.t_min, out.t_max, 0);
+    node(out.frames, order_.begin(), order_.end(), out.t_min, out.t_max, 0);
   }
 
 private:
@@ -294,11 +274,15 @@ private:
   };
   using It = std::vector<std::uint32_t>::iterator;
 
-  std::unique_ptr<Frame> node(It first, It last, double a, double b, int depth) {
-    auto frame = std::make_unique<Frame>();
-    frame->t0 = a;
-    frame->t1 = b;
-    frame->depth = depth;
+  // Appends the node for [a, b] and then its subtree to `frames`, left
+  // before right, so the array comes out in preorder; returns its index.
+  std::int32_t node(std::vector<Frame>& frames, It first, It last, double a,
+                    double b, int depth) {
+    const auto index = static_cast<std::int32_t>(frames.size());
+    Frame& frame = frames.emplace_back();
+    frame.t0 = a;
+    frame.t1 = b;
+    frame.depth = depth;
     ++stats_.frames;
     stats_.tree_depth = std::max(stats_.tree_depth, depth);
     std::size_t bytes = 0;
@@ -307,8 +291,8 @@ private:
                            (b - a) / 2.0 > 0.0 && bytes > opts_.frame_size;
     if (!can_split) {
       ++stats_.leaf_frames;
-      take(*frame, first, last);
-      return frame;
+      take(frame, first, last);
+      return index;
     }
     // A drawable ending at or before mid goes left, else one starting at or
     // after mid goes right, else it stays here: [left | right | here], each
@@ -323,10 +307,12 @@ private:
     }
     const It here = std::copy(scratch_.begin(), to_right, right);
     std::reverse_copy(to_here, scratch_.end(), here);
-    take(*frame, here, last);
-    if (right != first) frame->left = node(first, right, a, mid, depth + 1);
-    if (here != right) frame->right = node(right, here, mid, b, depth + 1);
-    return frame;
+    take(frame, here, last);
+    // The recursion grows `frames`, so the links go in by index afterwards.
+    const auto at = static_cast<std::size_t>(index);
+    if (right != first) frames[at].left = node(frames, first, right, a, mid, depth + 1);
+    if (here != right) frames[at].right = node(frames, right, here, mid, b, depth + 1);
+    return index;
   }
 
   // Moves the drawables of the ascending index range [first, last) into `f`.
@@ -362,9 +348,26 @@ std::size_t Frame::payload_bytes() const {
 
 namespace detail {
 
-void fill_previews(Frame& root, int nbuckets) {
+// Every drawable contributes to the preview of its own frame and of every
+// ancestor, so any node's preview summarizes its whole subtree. In preorder
+// the ancestors of a frame at depth d are the last frames seen at depths
+// 0..d-1, so one pass adds each frame's drawables to every node on that
+// path, and each node's float sums run over its subtree in preorder.
+void fill_previews(std::vector<Frame>& frames, int nbuckets) {
   std::vector<Frame*> path;
-  push_previews(root, nbuckets, path);
+  for (Frame& f : frames) {
+    f.preview.nbuckets = nbuckets;
+    path.resize(static_cast<std::size_t>(f.depth));
+    path.push_back(&f);
+    for (Frame* node : path) {
+      for (const auto& s : f.states)
+        add_occupancy(node->preview, node->t0, node->t1, s.category_id,
+                      s.start_time, s.end_time);
+      for (const auto& e : f.events)
+        add_event_count(node->preview, node->t0, node->t1, e.category_id, e.time);
+      node->preview.arrow_count += static_cast<std::uint32_t>(f.arrows.size());
+    }
+  }
 }
 
 void assemble(File& out, Collected items, bool any_instance,
@@ -401,7 +404,7 @@ void assemble(File& out, Collected items, bool any_instance,
   out.stats.total_events = items.events.size();
   out.stats.total_arrows = items.arrows.size();
   TreeBuilder(items, opts, out.stats).build(out, any_instance);
-  fill_previews(*out.root, opts.preview_buckets);
+  fill_previews(out.frames, opts.preview_buckets);
 }
 
 }  // namespace detail
@@ -479,39 +482,15 @@ void File::visit_window(
     double a, double b, const std::function<void(const StateDrawable&)>& on_state,
     const std::function<void(const EventDrawable&)>& on_event,
     const std::function<void(const ArrowDrawable&)>& on_arrow) const {
-  if (!root) return;
-  // Iterative preorder descent; subtrees outside [a, b] are pruned without
-  // being touched, so a zoomed window costs O(overlap + depth), not
-  // O(total frames).
-  std::vector<const Frame*> stack = {root.get()};
-  while (!stack.empty()) {
-    const Frame* f = stack.back();
-    stack.pop_back();
-    if (f->t1 < a || f->t0 > b) {
-      // Frames never contain drawables outside [t0, t1]... except the root,
-      // whose interval equals the global span, so pruning here is safe.
-      continue;
-    }
-    detail::visit_frame(*f, a, b, on_state, on_event, on_arrow);
-    if (f->right) stack.push_back(f->right.get());
-    if (f->left) stack.push_back(f->left.get());
-  }
+  detail::walk_window(frames, a, b, [&](std::size_t i) {
+    detail::visit_frame(frames[i], a, b, on_state, on_event, on_arrow);
+  });
 }
 
-void File::visit_frames(const std::function<void(const Frame&)>& fn) const {
-  if (!root) return;
-  std::function<void(const Frame&)> go = [&](const Frame& f) {
-    fn(f);
-    if (f.left) go(*f.left);
-    if (f.right) go(*f.right);
-  };
-  go(*root);
-}
-
-std::string detail::drawables_text(const File& file) {
+std::string detail::drawables_text(const Frame& f, double a, double b) {
   std::string out;
-  file.visit_window(
-      file.t_min, file.t_max,
+  visit_frame(
+      f, a, b,
       [&](const StateDrawable& s) {
         out += util::strprintf(
             "  state cat=%d rank=%d [%.9f, %.9f] depth=%d \"%s\"\n", s.category_id,
@@ -521,10 +500,10 @@ std::string detail::drawables_text(const File& file) {
         out += util::strprintf("  event cat=%d rank=%d t=%.9f \"%s\"\n",
                                e.category_id, e.rank, e.time, e.text.c_str());
       },
-      [&](const ArrowDrawable& a) {
+      [&](const ArrowDrawable& ar) {
         out += util::strprintf("  arrow %d->%d [%.9f, %.9f] tag=%d size=%u\n",
-                               a.src_rank, a.dst_rank, a.start_time, a.end_time,
-                               a.tag, a.size);
+                               ar.src_rank, ar.dst_rank, ar.start_time, ar.end_time,
+                               ar.tag, ar.size);
       });
   return out;
 }
@@ -561,7 +540,10 @@ std::string to_text(const File& file, bool dump_drawables) {
     out += util::strprintf("    [%d] %-6s %-24s %s\n", c.id, kind, c.name.c_str(),
                            c.color.c_str());
   }
-  if (dump_drawables) out += detail::drawables_text(file);
+  if (dump_drawables)
+    detail::walk_window(file.frames, file.t_min, file.t_max, [&](std::size_t i) {
+      out += detail::drawables_text(file.frames[i], file.t_min, file.t_max);
+    });
   return out;
 }
 

@@ -5,9 +5,10 @@
 // assemble() tail, which is what makes the online finalize() output
 // byte-identical to the offline converter on the same records.
 //
-// It also holds the per-frame visit and drawable text the readers in
-// serialize.cpp share with File, and the frame-payload codec serialize()
-// shares with the online converter's sealed chunks.
+// It also holds the one frame-tree window walk, the per-frame visit and
+// drawable text the readers in serialize.cpp share with File, and the
+// frame-payload codec serialize() shares with the online converter's sealed
+// chunks.
 //
 // Everything here is an implementation detail: the stable surface is
 // slog2.hpp. Do not include this header outside src/slog2, src/traced and
@@ -193,7 +194,9 @@ struct Span {
 };
 
 /// Fill every node's preview with its whole subtree (see Frame::preview).
-void fill_previews(Frame& node, int nbuckets);
+/// `frames` must be a preorder array whose root has depth 0 and whose
+/// children lie one level below their parent, as the tree build makes it.
+void fill_previews(std::vector<Frame>& frames, int nbuckets);
 
 /// The conversion tail shared by convert() and OnlineConverter::finalize(),
 /// one serial pass: Equal-Drawables detection (one sort per kind), drawable
@@ -206,6 +209,29 @@ void fill_previews(Frame& node, int nbuckets);
 /// pairing-stage stats (unmatched/unclosed/unknown counters).
 void assemble(File& out, Collected items, bool any_instance,
               const ConvertOptions& opts, std::vector<std::string>* warnings);
+
+/// The one frame-tree window walk: calls `fn(i)` for every node of `nodes`
+/// (a Frame or DirEntry preorder array, [0] = root, int32 child links,
+/// -1 = none) whose interval [t0, t1] intersects [a, b], parent before
+/// children and left child first: ascending index order on a preorder
+/// array. Subtrees outside the window are pruned without being touched, so
+/// a zoomed window costs O(overlap + depth), not O(total frames). The
+/// converter puts every drawable inside its frame's interval, so pruning
+/// loses none of them.
+template <class Node, class Fn>
+void walk_window(const std::vector<Node>& nodes, double a, double b, Fn&& fn) {
+  if (nodes.empty()) return;
+  std::vector<std::int32_t> stack = {0};
+  while (!stack.empty()) {
+    const auto i = static_cast<std::size_t>(stack.back());
+    stack.pop_back();
+    const Node& n = nodes[i];
+    if (n.t1 < a || n.t0 > b) continue;
+    fn(i);
+    if (n.right != -1) stack.push_back(n.right);
+    if (n.left != -1) stack.push_back(n.left);
+  }
+}
 
 /// Call back every drawable of `f` whose time range intersects [a, b] —
 /// the per-frame step of File::visit_window and Navigator::visit_window.
@@ -222,8 +248,8 @@ void write_payload(util::ByteWriter& w, const Frame& f, FrameEncoding enc);
 void read_payload(const std::uint8_t* data, std::size_t n, FrameEncoding enc,
                   Frame* f);
 
-/// to_text()'s drawable lines for `file` over [t_min, t_max]; stream_text()
-/// prints each frame through it as a one-frame File.
-std::string drawables_text(const File& file);
+/// to_text()'s drawable lines for the drawables of `f` that intersect
+/// [a, b]; to_text() and stream_text() print each walked frame through it.
+std::string drawables_text(const Frame& f, double a, double b);
 
 }  // namespace slog2::detail

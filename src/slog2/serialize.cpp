@@ -20,7 +20,6 @@
 #include "slog2/slog2.hpp"
 #include "util/fs.hpp"
 #include "util/mmapio.hpp"
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace slog2 {
@@ -177,21 +176,6 @@ ConvertStats read_stats(util::ByteReader& r) {
   return st;
 }
 
-struct FlatNode {
-  const Frame* frame;
-  std::int32_t left = -1;
-  std::int32_t right = -1;
-};
-
-// Preorder flattening with child indices.
-std::int32_t flatten(const Frame& f, std::vector<FlatNode>& out) {
-  const auto index = static_cast<std::int32_t>(out.size());
-  out.push_back(FlatNode{&f});
-  if (f.left) out[static_cast<std::size_t>(index)].left = flatten(*f.left, out);
-  if (f.right) out[static_cast<std::size_t>(index)].right = flatten(*f.right, out);
-  return index;
-}
-
 void write_header(util::ByteWriter& w, const File& file) {
   w.raw(kMagic.data(), kMagic.size());
   if (file.encoding == FrameEncoding::kV2) {
@@ -219,7 +203,8 @@ void write_header(util::ByteWriter& w, const File& file) {
 // The one reader of an SLOG-2 header and frame directory: parse(), the
 // Navigator and stream_text() all start here, so every reader accepts
 // exactly the same files. Counts are bounded by the remaining bytes, child
-// links point forward, every payload extent lies inside the blob and
+// links point forward and make one tree (every entry but the root has
+// exactly one parent), every payload extent lies inside the blob and
 // nothing follows the blob. Payloads are left to decode_payload().
 detail::Directory read_directory(util::ByteReader& r, const ReadOptions& ro) {
   detail::Directory d;
@@ -291,14 +276,15 @@ detail::Directory read_directory(util::ByteReader& r, const ReadOptions& ro) {
     e.preview = read_preview(r);
     d.frames.push_back(std::move(e));
   }
-  // A frame linked from two parents belongs to the later parent (its left
-  // link before its right), the tree parse() has always rebuilt; dropping
-  // the losing link gives every reader that one tree.
+  // Forward links cannot reach the root or form a cycle; one parent for
+  // every other entry makes the directory a single tree rooted at [0].
   std::vector<char> linked(d.frames.size(), 0);
-  for (std::size_t i = d.frames.size(); i-- > 0;)
-    for (std::int32_t* link : {&d.frames[i].left, &d.frames[i].right})
-      if (*link != -1 && std::exchange(linked[static_cast<std::size_t>(*link)], 1))
-        *link = -1;
+  for (const detail::DirEntry& e : d.frames)
+    for (const std::int32_t link : {e.left, e.right})
+      if (link != -1 && std::exchange(linked[static_cast<std::size_t>(link)], 1))
+        throw util::IoError("slog2: corrupt frame directory links");
+  for (std::size_t i = 1; i < linked.size(); ++i)
+    if (!linked[i]) throw util::IoError("slog2: corrupt frame directory links");
 
   d.blob_len = r.u64();
   d.blob = r.take(d.blob_len);
@@ -311,13 +297,15 @@ detail::Directory read_directory(util::ByteReader& r, const ReadOptions& ro) {
   return d;
 }
 
-// Frame `i` of a checked directory: its interval and drawables (the preview
-// stays in the directory).
+// Frame `i` of a checked directory: its interval, links and drawables (the
+// preview stays in the directory).
 void decode_payload(const detail::Directory& d, std::size_t i, Frame* f) {
   const detail::DirEntry& e = d.frames[i];
   f->t0 = e.t0;
   f->t1 = e.t1;
   f->depth = e.depth;
+  f->left = e.left;
+  f->right = e.right;
   detail::read_payload(d.blob + e.offset, static_cast<std::size_t>(e.length),
                        d.head.encoding, f);
 }
@@ -356,34 +344,25 @@ std::vector<std::uint8_t> serialize(const File& file) {
   util::ByteWriter w;
   write_header(w, file);
 
-  if (!file.root) {
-    w.u32(0);  // empty directory
-    w.u64(0);  // empty blob
-    return w.take();
-  }
-
-  std::vector<FlatNode> nodes;
-  flatten(*file.root, nodes);
-
   // Payload blob first (to know extents), directory second — but the
   // directory precedes the blob on disk, so build both, then emit.
   util::ByteWriter blob;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
-  extents.reserve(nodes.size());
-  for (const FlatNode& n : nodes) {
+  extents.reserve(file.frames.size());
+  for (const Frame& f : file.frames) {
     const std::uint64_t begin = blob.size();
-    detail::write_payload(blob, *n.frame, file.encoding);
+    detail::write_payload(blob, f, file.encoding);
     extents.emplace_back(begin, blob.size() - begin);
   }
 
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const Frame& f = *nodes[i].frame;
+  w.u32(static_cast<std::uint32_t>(file.frames.size()));
+  for (std::size_t i = 0; i < file.frames.size(); ++i) {
+    const Frame& f = file.frames[i];
     w.f64(f.t0);
     w.f64(f.t1);
     w.i32(f.depth);
-    w.i32(nodes[i].left);
-    w.i32(nodes[i].right);
+    w.i32(f.left);
+    w.i32(f.right);
     w.u64(extents[i].first);
     w.u64(extents[i].second);
     write_preview(w, f.preview);
@@ -400,21 +379,12 @@ File parse(const std::vector<std::uint8_t>& bytes, const ReadOptions& ro) {
 File parse(const std::uint8_t* data, std::size_t n, const ReadOptions& ro) {
   util::ByteReader r(data, n);
   detail::Directory d = read_directory(r, ro);
-  std::vector<std::unique_ptr<Frame>> frames(d.frames.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    frames[i] = std::make_unique<Frame>();
-    decode_payload(d, i, frames[i].get());
-    frames[i]->preview = std::move(d.frames[i].preview);
-  }
-  // Link children (forward, one parent each: read_directory made them so).
-  for (std::size_t i = frames.size(); i-- > 0;) {
-    const detail::DirEntry& e = d.frames[i];
-    if (e.left != -1) frames[i]->left = std::move(frames[static_cast<std::size_t>(e.left)]);
-    if (e.right != -1)
-      frames[i]->right = std::move(frames[static_cast<std::size_t>(e.right)]);
-  }
   File file = std::move(d.head);
-  if (!frames.empty()) file.root = std::move(frames[0]);
+  file.frames.resize(d.frames.size());
+  for (std::size_t i = 0; i < d.frames.size(); ++i) {
+    decode_payload(d, i, &file.frames[i]);
+    file.frames[i].preview = std::move(d.frames[i].preview);
+  }
   return file;
 }
 
@@ -444,26 +414,14 @@ void stream_text(const std::filesystem::path& path, bool dump_drawables,
     decode_payload(d, i, &f);
   }
   sink(to_text(d.head));
-  if (!dump_drawables || d.frames.empty()) return;
-  // Preorder left-first walk from the root (File::visit_window's order over
-  // parse()'s tree), printing each frame as a one-frame File.
+  if (!dump_drawables) return;
   const double a = d.head.t_min;
   const double b = d.head.t_max;
-  std::vector<std::int32_t> stack = {0};
-  while (!stack.empty()) {
-    const auto i = static_cast<std::size_t>(stack.back());
-    stack.pop_back();
-    const detail::DirEntry& e = d.frames[i];
-    if (e.t1 < a || e.t0 > b) continue;
-    File one;
-    one.t_min = a;
-    one.t_max = b;
-    one.root = std::make_unique<Frame>();
-    decode_payload(d, i, one.root.get());
-    sink(detail::drawables_text(one));
-    if (e.right != -1) stack.push_back(e.right);
-    if (e.left != -1) stack.push_back(e.left);
-  }
+  detail::walk_window(d.frames, a, b, [&](std::size_t i) {
+    Frame f;
+    decode_payload(d, i, &f);
+    sink(detail::drawables_text(f, a, b));
+  });
 }
 
 // --- Navigator ---------------------------------------------------------------
@@ -493,13 +451,10 @@ void Navigator::load(const std::uint8_t* data, std::size_t n, const ReadOptions&
   util::ByteReader r(data, n);
   dir_ = read_directory(r, ro);
   cache_ = &FrameCache::global();
-  touched_ = std::make_unique<std::atomic<char>[]>(dir_.frames.size());
-  for (std::size_t i = 0; i < dir_.frames.size(); ++i) touched_[i] = 0;
+  touched_.assign(dir_.frames.size(), 0);
 }
 
-std::size_t Navigator::frames_decoded() const {
-  return touched_count_.load(std::memory_order_relaxed);
-}
+std::size_t Navigator::frames_decoded() const { return touched_count_; }
 
 std::shared_ptr<const Frame> Navigator::frame_ptr(std::size_t index) {
   auto frame = cache_->get(
@@ -510,46 +465,26 @@ std::shared_ptr<const Frame> Navigator::frame_ptr(std::size_t index) {
         decode_payload(dir_, index, f.get());
         return f;
       });
-  if (touched_[index].exchange(1, std::memory_order_relaxed) == 0)
-    touched_count_.fetch_add(1, std::memory_order_relaxed);
+  if (std::exchange(touched_[index], 1) == 0) ++touched_count_;
   return frame;
-}
-
-std::vector<std::uint32_t> Navigator::window_frames(double a, double b) const {
-  std::vector<std::uint32_t> out;
-  if (dir_.frames.empty()) return out;
-  std::vector<std::int32_t> stack = {0};
-  while (!stack.empty()) {
-    const auto i = static_cast<std::size_t>(stack.back());
-    stack.pop_back();
-    const detail::DirEntry& e = dir_.frames[i];
-    if (e.t1 < a || e.t0 > b) continue;
-    out.push_back(static_cast<std::uint32_t>(i));
-    if (e.left != -1) stack.push_back(e.left);
-    if (e.right != -1) stack.push_back(e.right);
-  }
-  return out;
 }
 
 void Navigator::visit_window(
     double a, double b, const std::function<void(const StateDrawable&)>& on_state,
     const std::function<void(const EventDrawable&)>& on_event,
-    const std::function<void(const ArrowDrawable&)>& on_arrow, int threads) {
-  const std::vector<std::uint32_t> frames = window_frames(a, b);
-  // Decode (or fetch from the shared cache) every touched frame up front —
-  // in parallel when asked — then run the callbacks serially in traversal
-  // order. Pinning the shared_ptrs here means eviction under memory
-  // pressure cannot invalidate a frame mid-visit.
-  std::vector<std::shared_ptr<const Frame>> pinned(frames.size());
-  util::parallel_for(frames.size(), util::resolve_threads(threads),
-                     [&](std::size_t k) { pinned[k] = frame_ptr(frames[k]); });
-  for (const auto& fp : pinned)
-    detail::visit_frame(*fp, a, b, on_state, on_event, on_arrow);
+    const std::function<void(const ArrowDrawable&)>& on_arrow) {
+  // Holding the shared_ptr for the frame's visit means eviction under
+  // memory pressure cannot free it mid-visit.
+  detail::walk_window(dir_.frames, a, b, [&](std::size_t i) {
+    const std::shared_ptr<const Frame> f = frame_ptr(i);
+    detail::visit_frame(*f, a, b, on_state, on_event, on_arrow);
+  });
 }
 
 std::uint64_t Navigator::window_payload_bytes(double a, double b) const {
   std::uint64_t total = 0;
-  for (const std::uint32_t i : window_frames(a, b)) total += dir_.frames[i].length;
+  detail::walk_window(dir_.frames, a, b,
+                      [&](std::size_t i) { total += dir_.frames[i].length; });
   return total;
 }
 

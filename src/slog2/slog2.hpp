@@ -15,7 +15,6 @@
 //    striped rectangles without touching leaf data (Fig. 1's outline view).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -107,7 +106,8 @@ struct Preview {
 
 /// One node of the binary interval tree. A drawable lives in the lowest
 /// node whose interval fully contains it; leaves are split until their
-/// payload fits `frame_size` bytes (or max depth is reached).
+/// payload fits `frame_size` bytes (or max depth is reached). The children
+/// are indices into the same preorder array (File::frames), -1 = none.
 struct Frame {
   double t0 = 0.0;
   double t1 = 0.0;
@@ -116,8 +116,8 @@ struct Frame {
   std::vector<EventDrawable> events;
   std::vector<ArrowDrawable> arrows;
   Preview preview;  ///< summary of this node *and everything below it*
-  std::unique_ptr<Frame> left;
-  std::unique_ptr<Frame> right;
+  std::int32_t left = -1;
+  std::int32_t right = -1;
 
   [[nodiscard]] std::size_t payload_bytes() const;
   [[nodiscard]] std::size_t drawable_count() const {
@@ -147,7 +147,18 @@ struct ConvertStats {
   }
 };
 
+/// A whole SLOG-2 trace in memory. `frames` is the frame tree exactly as
+/// the file's directory stores it: a left-first preorder array with the
+/// root at [0], so a window walk visits frames in ascending index order.
+/// Move-only: a copy of every frame's drawables is never what a caller
+/// means.
 struct File {
+  File() = default;
+  File(File&&) = default;
+  File& operator=(File&&) = default;
+  File(const File&) = delete;
+  File& operator=(const File&) = delete;
+
   std::int32_t nranks = 0;
   double t_min = 0.0;
   double t_max = 0.0;
@@ -157,20 +168,17 @@ struct File {
   FrameEncoding encoding = FrameEncoding::kV1;
   std::vector<Category> categories;
   ConvertStats stats;
-  std::unique_ptr<Frame> root;
+  std::vector<Frame> frames;  ///< preorder, [0] = root; empty = no tree
 
   [[nodiscard]] const Category* category(std::int32_t id) const;
 
   /// Visit every drawable whose time range intersects [a, b]. Callbacks may
-  /// be empty. Traversal prunes whole subtrees outside the window.
+  /// be empty. Traversal prunes whole subtrees outside the window and visits
+  /// frames in the same order as Navigator::visit_window.
   void visit_window(double a, double b,
                     const std::function<void(const StateDrawable&)>& on_state,
                     const std::function<void(const EventDrawable&)>& on_event,
                     const std::function<void(const ArrowDrawable&)>& on_arrow) const;
-
-  /// Visit every frame (pre-order). Used by tests to check tree invariants
-  /// and by the renderer's preview path.
-  void visit_frames(const std::function<void(const Frame&)>& fn) const;
 };
 
 struct ConvertOptions {
@@ -225,8 +233,9 @@ struct DirEntry {
 };
 
 /// A checked header and frame directory, as every reader sees it: the
-/// header fields in a rootless File, the preorder directory ([0] is the
-/// root), and the payload blob it indexes, borrowed from the bytes read.
+/// header fields in a frameless File, the preorder directory ([0] is the
+/// root; every other entry has exactly one parent), and the payload blob it
+/// indexes, borrowed from the bytes read.
 struct Directory {
   File head;
   std::vector<DirEntry> frames;
@@ -267,15 +276,12 @@ public:
   }
 
   /// Visit drawables intersecting [a, b], decoding only the frames whose
-  /// interval intersects the window. The touched frames are decoded on
-  /// `threads` workers (0 = hardware) before the callback pass; the
-  /// callbacks always run serially in traversal order, so the visit is
-  /// identical at any thread count.
+  /// interval intersects the window, one at a time in File::visit_window's
+  /// frame order (so parse() and the Navigator feed identical sequences).
   void visit_window(double a, double b,
                     const std::function<void(const StateDrawable&)>& on_state,
                     const std::function<void(const EventDrawable&)>& on_event,
-                    const std::function<void(const ArrowDrawable&)>& on_arrow,
-                    int threads = 1);
+                    const std::function<void(const ArrowDrawable&)>& on_arrow);
 
   /// Preview of the smallest single frame covering [a, b] (zoomed-out
   /// rendering without touching leaf payloads), with its interval.
@@ -299,10 +305,6 @@ public:
 private:
   void load(const std::uint8_t* data, std::size_t n, const ReadOptions& ro);
 
-  /// Directory indices of every frame intersecting [a, b], in exactly the
-  /// order visit_window touches them.
-  [[nodiscard]] std::vector<std::uint32_t> window_frames(double a, double b) const;
-
   /// Decode frame `index` through the shared cache. The returned pointer
   /// stays valid for as long as the caller holds it, even across eviction.
   [[nodiscard]] std::shared_ptr<const Frame> frame_ptr(std::size_t index);
@@ -313,8 +315,8 @@ private:
   FrameCache* cache_ = nullptr;      // shared decode cache (never null after load)
   std::uint64_t owner_ = 0;          // our namespace within the cache
   bool private_owner_ = false;       // bytes ctor: evict our frames on dtor
-  std::unique_ptr<std::atomic<char>[]> touched_;  // frames ever requested here
-  std::atomic<std::size_t> touched_count_{0};
+  std::vector<char> touched_;         // frames ever requested here
+  std::size_t touched_count_ = 0;
 };
 
 /// Human-readable structural summary (the slog2print tool).

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -38,13 +37,17 @@ using slog2::detail::state_bytes;
 
 // Recursive bounded-frame builder: drawables that fit entirely inside a
 // child half-interval sink down until the payload fits the frame-size bound.
-inline std::unique_ptr<Frame> build_frame(Collected items, double a, double b,
-                                          int depth, const ConvertOptions& opts,
-                                          ConvertStats& stats) {
-  auto frame = std::make_unique<Frame>();
-  frame->t0 = a;
-  frame->t1 = b;
-  frame->depth = depth;
+// Appends the node and then its subtree to `frames` (preorder, left before
+// right) and returns the node's index.
+inline std::int32_t build_frame(std::vector<Frame>& frames, Collected items,
+                                double a, double b, int depth,
+                                const ConvertOptions& opts, ConvertStats& stats) {
+  const auto index = static_cast<std::int32_t>(frames.size());
+  const auto at = static_cast<std::size_t>(index);
+  frames.emplace_back();
+  frames[at].t0 = a;
+  frames[at].t1 = b;
+  frames[at].depth = depth;
 
   std::size_t bytes = 0;
   for (const auto& s : items.states) bytes += state_bytes(s);
@@ -54,13 +57,13 @@ inline std::unique_ptr<Frame> build_frame(Collected items, double a, double b,
   const bool can_split = depth < opts.max_depth && b > a &&
                          (b - a) / 2.0 > 0.0 && bytes > opts.frame_size;
   if (!can_split) {
-    frame->states = std::move(items.states);
-    frame->events = std::move(items.events);
-    frame->arrows = std::move(items.arrows);
+    frames[at].states = std::move(items.states);
+    frames[at].events = std::move(items.events);
+    frames[at].arrows = std::move(items.arrows);
     ++stats.frames;
     ++stats.leaf_frames;
     stats.tree_depth = std::max(stats.tree_depth, depth);
-    return frame;
+    return index;
   }
 
   const double mid = 0.5 * (a + b);
@@ -88,17 +91,23 @@ inline std::unique_ptr<Frame> build_frame(Collected items, double a, double b,
     const double hi = std::max(ar.start_time, ar.end_time);
     place(&Collected::arrows, std::move(ar), lo, hi);
   }
-  frame->states = std::move(here.states);
-  frame->events = std::move(here.events);
-  frame->arrows = std::move(here.arrows);
+  frames[at].states = std::move(here.states);
+  frames[at].events = std::move(here.events);
+  frames[at].arrows = std::move(here.arrows);
 
   ++stats.frames;
-  if (!left.states.empty() || !left.events.empty() || !left.arrows.empty())
-    frame->left = build_frame(std::move(left), a, mid, depth + 1, opts, stats);
-  if (!right.states.empty() || !right.events.empty() || !right.arrows.empty())
-    frame->right = build_frame(std::move(right), mid, b, depth + 1, opts, stats);
+  if (!left.states.empty() || !left.events.empty() || !left.arrows.empty()) {
+    const std::int32_t child =
+        build_frame(frames, std::move(left), a, mid, depth + 1, opts, stats);
+    frames[at].left = child;
+  }
+  if (!right.states.empty() || !right.events.empty() || !right.arrows.empty()) {
+    const std::int32_t child =
+        build_frame(frames, std::move(right), mid, b, depth + 1, opts, stats);
+    frames[at].right = child;
+  }
   stats.tree_depth = std::max(stats.tree_depth, depth);
-  return frame;
+  return index;
 }
 
 /// The conversion tail as one serial pass in its former form: the
@@ -173,8 +182,8 @@ inline void assemble(slog2::File& out, Collected items, bool any_instance,
   }
 
   // --- frame tree + previews --------------------------------------------------
-  out.root = build_frame(std::move(items), out.t_min, out.t_max, 0, opts, out.stats);
-  slog2::detail::fill_previews(*out.root, opts.preview_buckets);
+  build_frame(out.frames, std::move(items), out.t_min, out.t_max, 0, opts, out.stats);
+  slog2::detail::fill_previews(out.frames, opts.preview_buckets);
 }
 
 }  // namespace convert_oracle

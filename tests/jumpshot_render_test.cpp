@@ -271,29 +271,29 @@ TEST(RenderWindowed, PictureIndependentOfDrawableOrderWithNanAndSignedZero) {
         {2, slog2::CategoryKind::kState, "Wait", "blue", ""},
         {3, slog2::CategoryKind::kEvent, "Tick", "yellow", ""},
     };
-    f.root = std::make_unique<slog2::Frame>();
-    f.root->t0 = -1.0;
-    f.root->t1 = 2.0;
-    f.root->states = {
+    f.frames.emplace_back();
+    f.frames[0].t0 = -1.0;
+    f.frames[0].t1 = 2.0;
+    f.frames[0].states = {
         {1, 0, -0.0, 1.0, 0, "", ""},  {1, 0, 0.0, 1.0, 0, "", ""},
         {2, 0, -0.0, 1.0, 0, "", ""},  {1, 0, 0.0, 1.0, 0, "b", ""},
         {1, 0, 0.0, 1.0, 0, "a", ""},  {1, 1, nan, 1.5, 0, "", ""},
         {1, 1, -nan, 1.5, 0, "", ""},  {2, 1, 0.5, nan, 0, "", ""},
         {1, 1, 0.25, 0.75, 1, "", ""}, {2, 1, 0.25, 0.75, 1, "", ""},
     };
-    f.root->events = {
+    f.frames[0].events = {
         {3, 0, 0.0, ""},  {3, 0, -0.0, ""}, {3, 0, 0.0, "x"},
         {3, 1, nan, ""},  {3, 1, -nan, ""}, {3, 1, 1.0, ""},
     };
-    f.root->arrows = {
+    f.frames[0].arrows = {
         {0, 1, 0.0, 1.0, 1, 8},  {0, 1, -0.0, 1.0, 1, 8}, {1, 0, 0.0, 1.0, 1, 8},
         {0, 1, 0.0, 1.0, 2, 8},  {0, 1, 0.0, 1.0, 1, 16}, {0, 1, nan, 1.0, 1, 8},
         {0, 1, -nan, 1.0, 1, 8}, {0, 1, 0.5, -0.0, 1, 8},
     };
     if (reversed) {
-      std::reverse(f.root->states.begin(), f.root->states.end());
-      std::reverse(f.root->events.begin(), f.root->events.end());
-      std::reverse(f.root->arrows.begin(), f.root->arrows.end());
+      std::reverse(f.frames[0].states.begin(), f.frames[0].states.end());
+      std::reverse(f.frames[0].events.begin(), f.frames[0].events.end());
+      std::reverse(f.frames[0].arrows.begin(), f.frames[0].arrows.end());
     }
     return f;
   };
@@ -426,22 +426,22 @@ slog2::File hostile_file() {
       {3, CategoryKind::kEvent, "Bubble \"q\"", "YELLOW", ""},
       {4, CategoryKind::kState, "Unused & idle", "ForestGreen", ""},
   };
-  f.root = std::make_unique<slog2::Frame>();
-  f.root->t0 = 0.0;
-  f.root->t1 = 2.0;
-  f.root->states = {
+  f.frames.emplace_back();
+  f.frames[0].t0 = 0.0;
+  f.frames[0].t1 = 2.0;
+  f.frames[0].states = {
       {1, 0, 0.5, 1.75, 0, "a<b", "c&d'\""},
       {1, 0, 1.0, 1.000000012, 1, "", "nested"},
       {2, 1, 0.1, 0.1025, 0, "ms <dur>", ""},
       {99, 1, 0.2, 0.2000456, 0, "", ""},
       {1, 7, 0.3, 0.4, 0, "", ""},
   };
-  f.root->events = {
+  f.frames[0].events = {
       {3, 0, 0.3, "x>y & 'z'"},
       {42, 1, 1.5, ""},
       {3, 5, 1.6, "off-row"},
   };
-  f.root->arrows = {
+  f.frames[0].arrows = {
       {0, 1, 0.4, 0.4003, 7, 64},
       {1, 0, 1.2, 1.9, -1, 4000000000U},
       {0, 5, 0.5, 0.6, 1, 8},
@@ -482,10 +482,10 @@ TEST(RenderGolden, EmbeddedNulEndsATextLikePrintfDid) {
   const slog2::File clean = hostile_file();
   slog2::File nul = hostile_file();
   for (auto& c : nul.categories) c.name += "\0junk<"s;
-  for (auto& st : nul.root->states)
+  for (auto& st : nul.frames[0].states)
     if (!st.start_text.empty()) st.start_text += "\0&"s;
-  nul.root->states[1].end_text += "\0x"s;
-  nul.root->events[0].text += "\0'"s;
+  nul.frames[0].states[1].end_text += "\0x"s;
+  nul.frames[0].events[0].text += "\0'"s;
   jumpshot::RenderOptions opts;
   opts.title = "t <&>";
   opts.rank_names = {"r<0>"};

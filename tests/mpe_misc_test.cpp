@@ -64,9 +64,11 @@ TEST(MpeOptions, CustomTextCap) {
     return 0;
   });
   const auto file = clog2::read_file(dir.file("t.clog2"));
-  for (const auto& rec : file.records)
-    if (const auto* e = std::get_if<clog2::EventRec>(&rec))
+  for (const auto& rec : file.records) {
+    if (const auto* e = std::get_if<clog2::EventRec>(&rec)) {
       EXPECT_EQ(e->text, "01234567");
+    }
+  }
 }
 
 }  // namespace

@@ -79,7 +79,9 @@ TEST_P(CollectivesBySize, ReduceSumInt) {
     const int mine = c.rank() + 1;
     int total = 0;
     c.reduce(0, Op::kSum, Datatype::kInt, &mine, &total, 1);
-    if (c.rank() == 0) EXPECT_EQ(total, n * (n + 1) / 2);
+    if (c.rank() == 0) {
+      EXPECT_EQ(total, n * (n + 1) / 2);
+    }
     return 0;
   });
 }
@@ -145,7 +147,9 @@ TEST(Collectives, BitwiseOpsOnIntegers) {
     const unsigned mine = 1u << c.rank();
     unsigned ored = 0;
     c.reduce(0, Op::kBor, Datatype::kUnsigned, &mine, &ored, 1);
-    if (c.rank() == 0) EXPECT_EQ(ored, 0b111u);
+    if (c.rank() == 0) {
+      EXPECT_EQ(ored, 0b111u);
+    }
     return 0;
   });
 }
@@ -167,7 +171,9 @@ TEST(Collectives, RootsOtherThanZero) {
     const int mine = c.rank();
     int sum = -1;
     c.reduce(3, Op::kSum, Datatype::kInt, &mine, &sum, 1);
-    if (c.rank() == 3) EXPECT_EQ(sum, 0 + 1 + 2 + 3);
+    if (c.rank() == 3) {
+      EXPECT_EQ(sum, 0 + 1 + 2 + 3);
+    }
     return 0;
   });
 }

@@ -192,7 +192,9 @@ TEST(P2P, IprobeNonBlocking) {
       (void)c.probe(0, 9);
       const auto st = c.iprobe(0, 9);
       EXPECT_TRUE(st.has_value());
-      if (st) EXPECT_EQ(st->count, sizeof(int));
+      if (st) {
+        EXPECT_EQ(st->count, sizeof(int));
+      }
       int v = 0;
       c.recv(0, 9, &v, sizeof v);
       EXPECT_EQ(v, 5);

@@ -308,9 +308,12 @@ TEST(LogViz, IoStatesNestInsideComputeState) {
       [&](const slog2::StateDrawable& s) {
         const auto* cat = slog.category(s.category_id);
         if (!cat) return;
-        if (cat->name == "Compute") EXPECT_EQ(s.depth, 0);
-        if (cat->name == "PI_Read" || cat->name == "PI_Write")
+        if (cat->name == "Compute") {
+          EXPECT_EQ(s.depth, 0);
+        }
+        if (cat->name == "PI_Read" || cat->name == "PI_Write") {
           EXPECT_EQ(s.depth, 1) << cat->name;  // nested inside gray Compute
+        }
       },
       nullptr, nullptr);
 }

@@ -48,8 +48,9 @@ std::vector<PI_CHANNEL*> g_fan_up;
 
 int fan_worker(int index, void*) {
   int seed = 0;
-  PI_Read(g_fan_down[index], "%d", &seed);
-  PI_Write(g_fan_up[index], "%d", seed * 2 + 1);
+  const auto i = static_cast<std::size_t>(index);
+  PI_Read(g_fan_down[i], "%d", &seed);
+  PI_Write(g_fan_up[i], "%d", seed * 2 + 1);
   return 0;
 }
 

@@ -272,13 +272,13 @@ TEST(FrameCacheConcurrency, ConcurrentSessionsShareOneFile) {
 
   // N sessions over the same on-disk file: same owner id, so the decode work
   // is shared. Every session must see the same totals.
-  constexpr int kSessions = 8;
+  constexpr std::size_t kSessions = 8;
   std::vector<std::uint64_t> state_counts(kSessions, 0);
   std::atomic<int> failures{0};
   {
     std::vector<std::thread> pool;
     pool.reserve(kSessions);
-    for (int s = 0; s < kSessions; ++s) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
       pool.emplace_back([&, s] {
         try {
           slog2::Navigator nav(path);
@@ -296,7 +296,7 @@ TEST(FrameCacheConcurrency, ConcurrentSessionsShareOneFile) {
     for (auto& t : pool) t.join();
   }
   EXPECT_EQ(failures.load(), 0);
-  for (int s = 1; s < kSessions; ++s)
+  for (std::size_t s = 1; s < kSessions; ++s)
     EXPECT_EQ(state_counts[s], state_counts[0]) << "session " << s;
   EXPECT_GT(state_counts[0], 0u);
 

@@ -269,7 +269,7 @@ TEST(Convert, EmptyTrace) {
             0u);
   EXPECT_DOUBLE_EQ(out.t_min, 0.0);
   EXPECT_DOUBLE_EQ(out.t_max, 0.0);
-  ASSERT_NE(out.root, nullptr);
+  ASSERT_FALSE(out.frames.empty());
 }
 
 TEST(Convert, BadOptionsRejected) {

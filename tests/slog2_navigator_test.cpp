@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "slog2/slog2.hpp"
+#include "tracegen/tracegen.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/prng.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -144,6 +146,13 @@ void patch_i32(std::vector<std::uint8_t>& bytes, std::size_t at, std::int32_t v)
         static_cast<std::uint8_t>(static_cast<std::uint32_t>(v) >> (8 * i));
 }
 
+std::int32_t read_i32(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+  return static_cast<std::int32_t>(v);
+}
+
 /// The util::IoError message `fn` throws ("" when it does not throw).
 template <typename Fn>
 std::string io_error(const Fn& fn) {
@@ -157,16 +166,22 @@ std::string io_error(const Fn& fn) {
 
 // Entry layout: t0, t1 (f64), depth, left, right (i32), offset, length (u64).
 constexpr std::size_t kLeftAt = 20;
+constexpr std::size_t kRightAt = 24;
 constexpr std::size_t kLengthAt = 36;
 
 TEST(Navigator, RejectsCorruptDirectory) {
+  util::TempDir dir;
   for (const auto enc : {slog2::FrameEncoding::kV1, slog2::FrameEncoding::kV2}) {
     auto file = small_frames(200);
     file.encoding = enc;
     const auto bytes = slog2::serialize(file);
     const std::size_t left = first_entry_offset(file) + kLeftAt;
     ASSERT_EQ(bytes[left], 1) << "entry 0's left child is entry 1";
-    for (const std::int32_t link : {0, 1 << 20}) {  // self link, out of range
+    const std::int32_t right_child = read_i32(bytes, first_entry_offset(file) + kRightAt);
+    ASSERT_GT(right_child, 1) << "entry 0 has a right child";
+    // A self link, an out-of-range link, and the right child linked twice,
+    // which leaves entry 1 with no parent.
+    for (const std::int32_t link : {0, 1 << 20, right_child}) {
       SCOPED_TRACE("left link " + std::to_string(link));
       auto bad = bytes;
       patch_i32(bad, left, link);
@@ -175,6 +190,12 @@ TEST(Navigator, RejectsCorruptDirectory) {
                 std::string::npos);
       EXPECT_NE(io_error([&] { slog2::Navigator nav(bad); })
                     .find("corrupt frame directory links"),
+                std::string::npos);
+      const auto path = dir.file("bad.slog2");
+      util::write_file(path, bad);
+      EXPECT_NE(io_error([&] {
+                  slog2::stream_text(path, true, [](const std::string&) {});
+                }).find("corrupt frame directory links"),
                 std::string::npos);
     }
   }
@@ -200,6 +221,77 @@ TEST(Navigator, RejectsTrailingPayloadBytesOnFirstVisit) {
                                  nullptr);
               }).find("frame payload has trailing bytes"),
               std::string::npos);
+  }
+}
+
+/// Every drawable `visit` feeds, one line each, in feed order.
+template <typename Visit>
+std::vector<std::string> feed(const Visit& visit) {
+  std::vector<std::string> out;
+  visit(
+      [&](const slog2::StateDrawable& s) {
+        out.push_back(util::strprintf("state %d %d %.17g %.17g %d %s %s",
+                                      s.category_id, s.rank, s.start_time,
+                                      s.end_time, s.depth, s.start_text.c_str(),
+                                      s.end_text.c_str()));
+      },
+      [&](const slog2::EventDrawable& e) {
+        out.push_back(util::strprintf("event %d %d %.17g %s", e.category_id, e.rank,
+                                      e.time, e.text.c_str()));
+      },
+      [&](const slog2::ArrowDrawable& a) {
+        out.push_back(util::strprintf("arrow %d %d %.17g %.17g %d %u", a.src_rank,
+                                      a.dst_rank, a.start_time, a.end_time, a.tag,
+                                      a.size));
+      });
+  return out;
+}
+
+// Every reader walks the frame tree the same way, so parse(), the Navigator
+// and stream_text feed the same drawables in the same order, not just the
+// same multiset.
+TEST(Navigator, VisitOrderMatchesParseAndStreamText) {
+  util::TempDir dir;
+  tracegen::Options g;
+  g.seed = 7;
+  g.nranks = 6;
+  g.events = 20000;
+  const clog2::File trace = tracegen::generate(g);
+  for (const auto enc : {slog2::FrameEncoding::kV1, slog2::FrameEncoding::kV2}) {
+    SCOPED_TRACE(slog2::to_string(enc));
+    slog2::ConvertOptions opts;
+    opts.frame_size = 4096;
+    opts.encoding = enc;
+    const auto bytes = slog2::serialize(slog2::convert(trace, opts));
+    const slog2::File file = slog2::parse(bytes);
+    slog2::Navigator nav(bytes);
+    ASSERT_GT(nav.total_frames(), 16u);
+
+    const double t0 = file.t_min;
+    const double span = file.t_max - file.t_min;
+    const std::pair<double, double> windows[] = {
+        {file.t_min, file.t_max},
+        {t0 + span * 0.10, t0 + span * 0.20},
+        {t0 + span * 0.45, t0 + span * 0.46},
+        {t0 + span * 0.80, t0 + span * 0.95},
+    };
+    for (const auto& [a, b] : windows) {
+      SCOPED_TRACE(util::strprintf("window [%.9f, %.9f]", a, b));
+      const auto eager = feed([&](const auto& on_s, const auto& on_e, const auto& on_a) {
+        file.visit_window(a, b, on_s, on_e, on_a);
+      });
+      const auto lazy = feed([&](const auto& on_s, const auto& on_e, const auto& on_a) {
+        nav.visit_window(a, b, on_s, on_e, on_a);
+      });
+      EXPECT_FALSE(eager.empty());
+      EXPECT_EQ(eager, lazy);
+    }
+
+    const auto path = dir.file("t.slog2");
+    util::write_file(path, bytes);
+    std::string streamed;
+    slog2::stream_text(path, true, [&](const std::string& s) { streamed += s; });
+    EXPECT_EQ(streamed, slog2::to_text(file, true));
   }
 }
 

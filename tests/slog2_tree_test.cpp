@@ -79,7 +79,7 @@ struct TreeCheck {
 
 TreeCheck check_tree(const slog2::File& f, std::uint64_t frame_size, int max_depth) {
   TreeCheck c;
-  f.visit_frames([&](const slog2::Frame& fr) {
+  for (const slog2::Frame& fr : f.frames) {
     if (fr.t1 < fr.t0) c.intervals_ok = false;
     for (const auto& s : fr.states) {
       ++c.states;
@@ -97,16 +97,19 @@ TreeCheck check_tree(const slog2::File& f, std::uint64_t frame_size, int max_dep
       if (lo < fr.t0 - 1e-12 || hi > fr.t1 + 1e-12) c.containment_ok = false;
     }
     const double mid = 0.5 * (fr.t0 + fr.t1);
-    if (fr.left &&
-        (std::abs(fr.left->t0 - fr.t0) > 1e-12 || std::abs(fr.left->t1 - mid) > 1e-9))
+    const auto child = [&](std::int32_t i) -> const slog2::Frame& {
+      return f.frames[static_cast<std::size_t>(i)];
+    };
+    if (fr.left != -1 && (std::abs(child(fr.left).t0 - fr.t0) > 1e-12 ||
+                          std::abs(child(fr.left).t1 - mid) > 1e-9))
       c.child_halves_ok = false;
-    if (fr.right && (std::abs(fr.right->t0 - mid) > 1e-9 ||
-                     std::abs(fr.right->t1 - fr.t1) > 1e-12))
+    if (fr.right != -1 && (std::abs(child(fr.right).t0 - mid) > 1e-9 ||
+                           std::abs(child(fr.right).t1 - fr.t1) > 1e-12))
       c.child_halves_ok = false;
-    const bool is_leaf = !fr.left && !fr.right;
+    const bool is_leaf = fr.left == -1 && fr.right == -1;
     if (is_leaf && fr.payload_bytes() > frame_size && fr.depth < max_depth)
       ++c.leaf_overflows;
-  });
+  }
   return c;
 }
 
@@ -226,8 +229,8 @@ TEST(Tree, SmallerFrameSizeMeansDeeperTree) {
 TEST(Tree, RootPreviewSummarizesEverything) {
   const auto in = random_trace(6, 300);
   const auto out = slog2::convert(in);
-  ASSERT_NE(out.root, nullptr);
-  const auto& pv = out.root->preview;
+  ASSERT_FALSE(out.frames.empty());
+  const auto& pv = out.frames[0].preview;
   EXPECT_EQ(pv.arrow_count, out.stats.total_arrows);
 
   // Total occupancy in the preview equals the sum of state durations

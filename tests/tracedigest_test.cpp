@@ -60,7 +60,9 @@ clog2::File motif_trace(std::int32_t nranks, int reps,
     f.records.push_back(clog2::SyncRec{r, 0.0, 0.0});
   for (std::int32_t r = 0; r < nranks; ++r) {
     const double scale =
-        r < static_cast<std::int32_t>(stretch.size()) ? stretch[r] : 1.0;
+        r < static_cast<std::int32_t>(stretch.size())
+            ? stretch[static_cast<std::size_t>(r)]
+            : 1.0;
     double t = 0.001 * (r + 1);
     for (int i = 0; i < reps; ++i) {
       f.records.push_back(clog2::EventRec{t, r, 11, ""});

@@ -79,7 +79,8 @@ TEST(TinyJpeg, CropAndSubsampleShape) {
   const double area_ratio = static_cast<double>(thumb.height) * (thumb.width * 3) /
                             static_cast<double>(img.pixel_count());
   EXPECT_NEAR(area_ratio, 0.32, 0.05);  // crop keeps ~32% of the area
-  EXPECT_LT(thumb.pixel_count(), img.pixel_count() * 0.32 * 0.40);
+  EXPECT_LT(static_cast<double>(thumb.pixel_count()),
+            static_cast<double>(img.pixel_count()) * 0.32 * 0.40);
   EXPECT_GT(thumb.pixel_count(), 0u);
 }
 

@@ -41,12 +41,13 @@ cmake --build --preset sanitize-thread -j "$(nproc)" \
 # threads + a query thread over the ingest worker pool); its million-event
 # TracedScale sibling stays out by name like the other heavy suites.
 # 'V2Codec|V2Differential|V2Online' exercise the columnar v2 frame codec
-# through the threaded converter and the online seal path, and 'TraceDigest'
+# through the serial converter and the online seal path, and 'TraceDigest'
 # drives pilot-tracedigest's analysis over both encodings; the million-event
 # V2Scale sibling stays out by name like the other heavy suites.
 # 'QueryParallel\.' runs every sharded query path (trace build, rollups,
-# legend totals, window sweeps) at 0..8 workers against its serial oracle
-# in tests/query_oracle.hpp, and
+# legend totals) at 0..8 workers against its serial oracle in
+# tests/query_oracle.hpp, holds the window sweeps (serial Navigator visits
+# that accept and ignore a thread count) to a plain visit's feed, and
 # 'FrameCacheConcurrency' hammers the process-wide decode cache from
 # concurrent sessions; the million-event QueryParallelScale sibling stays
 # out by name like the other heavy suites.

@@ -22,8 +22,9 @@ int run(int argc, char** argv) {
                  "usage: %s <trace.slog2> [--out=view.svg] [--t0=S] [--t1=S]\n"
                  "       [--width=PX] [--title=TEXT] [--no-legend] [--windowed]\n"
                  "       [--lod-budget=BYTES] [--search=NEEDLE] [--rank=R] [--stats]\n"
-                 "       [--threads=N]  (N workers for frame decode / legend\n"
-                 "       sweeps, 0 = hardware; output is byte-identical)\n",
+                 "       [--threads=N]  (N workers for the legend's per-rank\n"
+                 "       sweeps, 0 = hardware, unused by --windowed; output is\n"
+                 "       byte-identical)\n",
                  args.program().c_str());
     return 2;
   }
