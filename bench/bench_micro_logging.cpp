@@ -67,6 +67,55 @@ void BM_MpeLogEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_MpeLogEvent)->UseManualTime()->Unit(benchmark::kMillisecond);
 
+void BM_MpeFinishLog(benchmark::State& state) {
+  // The wrap-up alone: finish_log of a 17-rank log of ~240k records (the
+  // size of perfbench's heat-ring trace) -- gather at rank 0, clock
+  // correction, merge and the CLOG-2 write. Ranks log before the timed
+  // region; rank 0 times its finish_log from a common barrier.
+  constexpr int kRanks = 17;
+  constexpr int kSteps = 2820;  // 5 records a step: 17 * 2820 * 5 = 239,700
+  const util::TempDir dir;
+  for (auto _ : state) {
+    mpisim::World::Config cfg;
+    cfg.nprocs = kRanks;
+    cfg.time_scale = 0;
+    cfg.watchdog_seconds = 120;
+    mpisim::World world(cfg);
+    mpe::Logger::Options opts;
+    opts.merge_base_cost = 0;
+    opts.merge_cost_per_record = 0;
+    mpe::Logger logger(world, opts);
+    const int start = logger.get_event_number();
+    const int end = logger.get_event_number();
+    const int info = logger.get_event_number();
+    logger.define_state(start, end, "PI_Write", "green");
+    logger.define_event(info, "WriteInfo", "white");
+    double elapsed = 0;
+    world.run([&](mpisim::Comm& c) {
+      const int r = c.rank();
+      logger.log_sync_clocks(c);
+      for (int i = 0; i < kSteps; ++i) {
+        logger.log_event(c, start, "L42 Slab3 i3");
+        logger.log_event(c, info, "Chan: C3 n=1 v0=0.25");
+        logger.log_send(c, (r + 1) % kRanks, 3, 8);
+        logger.log_receive(c, (r + kRanks - 1) % kRanks, 3, 8);
+        logger.log_event(c, end);
+      }
+      logger.log_sync_clocks(c);
+      c.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      logger.finish_log(c, dir.file("wrapup.clog2"));
+      if (r == 0)
+        elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                      .count();
+      return 0;
+    });
+    state.SetIterationTime(elapsed);
+  }
+  state.SetItemsProcessed(state.iterations() * kRanks * kSteps * 5);
+}
+BENCHMARK(BM_MpeFinishLog)->UseManualTime()->Unit(benchmark::kMillisecond);
+
 void BM_Clog2Serialize(benchmark::State& state) {
   const auto f = synthetic_trace(static_cast<int>(state.range(0)));
   for (auto _ : state) {

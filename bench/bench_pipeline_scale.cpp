@@ -4,7 +4,9 @@
 // acceptance criteria read:
 //   - convert time and throughput per size (conversion is one serial pass,
 //     so it is timed once; the key keeps its historical `_t1_` infix),
-//   - k-way merge vs the seed's concat+stable_sort path,
+//   - the logger's encoded k-way merge (mpe::merge_streams) vs the seed's
+//     concat+stable_sort path and the record-level k-way oracle in
+//     tests/merge_oracle.hpp,
 //   - zoomed window render wall time flat across trace sizes.
 //
 // `--large=0` skips the big trace (the ci_bench.sh smoke leg does this).
@@ -15,6 +17,7 @@
 
 #include "bench_common.hpp"
 #include "jumpshot/render.hpp"
+#include "../tests/merge_oracle.hpp"
 #include "mpe/mpe.hpp"
 #include "slog2/slog2.hpp"
 #include "tracegen/tracegen.hpp"
@@ -38,6 +41,7 @@ struct SizeResult {
   double gen_ms = 0;
   double merge_sort_ms = 0;
   double merge_kway_ms = 0;
+  double merge_record_ms = 0;
   bool merge_identical = false;
   double convert_ms = 0;
   double render_ms = 0;
@@ -61,7 +65,9 @@ SizeResult run_size(std::uint64_t events, int nranks, const std::string& label) 
 
   // Merge stage: split the timed records back into per-rank streams (each is
   // time-ordered because the whole trace is), then race the seed's
-  // concat+stable_sort against mpe::merge_timed's k-way heap.
+  // concat+stable_sort and the record-level k-way oracle against
+  // mpe::merge_streams over the same streams in wire form (encoded untimed,
+  // as the logger holds them).
   {
     std::vector<std::vector<clog2::Record>> streams(
         static_cast<std::size_t>(nranks));
@@ -78,22 +84,28 @@ SizeResult run_size(std::uint64_t events, int nranks, const std::string& label) 
     }
     std::stable_sort(concat.begin(), concat.end(),
                      [](const clog2::Record& a, const clog2::Record& b) {
-                       return mpe::record_time(a) < mpe::record_time(b);
+                       return merge_oracle::record_time(a) <
+                              merge_oracle::record_time(b);
                      });
     out.merge_sort_ms = ms_since(t0);
 
+    auto encoded = merge_oracle::encode_streams(streams);
     t0 = std::chrono::steady_clock::now();
-    const auto merged = mpe::merge_timed(std::move(streams));
+    util::ByteWriter merged;
+    mpe::merge_streams(std::move(encoded), merged);
     out.merge_kway_ms = ms_since(t0);
 
-    clog2::File a, b;
-    a.nranks = b.nranks = nranks;
-    a.records = std::move(concat);
-    b.records = merged;
-    out.merge_identical = clog2::serialize(a) == clog2::serialize(b);
-    std::printf("[%s] merge: stable_sort %.0f ms, k-way %.0f ms (%.2fx), "
-                "identical=%d\n",
-                label.c_str(), out.merge_sort_ms, out.merge_kway_ms,
+    t0 = std::chrono::steady_clock::now();
+    const auto record_merged = merge_oracle::merge_timed(std::move(streams));
+    out.merge_record_ms = ms_since(t0);
+
+    out.merge_identical =
+        merged.bytes() == merge_oracle::encode_records(concat) &&
+        merged.bytes() == merge_oracle::encode_records(record_merged);
+    std::printf("[%s] merge: stable_sort %.0f ms, record k-way %.0f ms, "
+                "encoded k-way %.0f ms (%.2fx), identical=%d\n",
+                label.c_str(), out.merge_sort_ms, out.merge_record_ms,
+                out.merge_kway_ms,
                 out.merge_kway_ms > 0 ? out.merge_sort_ms / out.merge_kway_ms
                                       : 0.0,
                 out.merge_identical ? 1 : 0);
@@ -138,6 +150,7 @@ void report(bench::JsonReport& json, const std::string& label,
   json.set("gen_ms_" + label, r.gen_ms);
   json.set("merge_sort_ms_" + label, r.merge_sort_ms);
   json.set("merge_kway_ms_" + label, r.merge_kway_ms);
+  json.set("merge_record_ms_" + label, r.merge_record_ms);
   json.set("merge_speedup_" + label,
            r.merge_kway_ms > 0 ? r.merge_sort_ms / r.merge_kway_ms : 0.0);
   json.set("merge_identical_" + label, r.merge_identical);

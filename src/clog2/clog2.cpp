@@ -13,30 +13,48 @@ namespace {
 
 constexpr std::array<char, 8> kMagic = {'P', 'C', 'L', 'O', 'G', '2', '\0', '\0'};
 
-enum class RecordKind : std::uint8_t {
-  kEventDef = 1,
-  kStateDef = 2,
-  kConstDef = 3,
-  kEvent = 4,
-  kMsg = 5,
-  kSync = 6,
-  kEndLog = 255,
-};
+void kind(util::ByteWriter& w, RecordKind k) { w.u8(static_cast<std::uint8_t>(k)); }
 
 }  // namespace
+
+void append_event(util::ByteWriter& w, double timestamp, std::int32_t rank,
+                  std::int32_t event_id, std::string_view text) {
+  kind(w, RecordKind::kEvent);
+  w.f64(timestamp);
+  w.i32(rank);
+  w.i32(event_id);
+  w.str(text);
+}
+
+void append_record(util::ByteWriter& w, const MsgRec& m) {
+  kind(w, RecordKind::kMsg);
+  w.f64(m.timestamp);
+  w.i32(m.rank);
+  w.u8(static_cast<std::uint8_t>(m.kind));
+  w.i32(m.partner);
+  w.i32(m.tag);
+  w.u32(m.size);
+}
+
+void append_record(util::ByteWriter& w, const SyncRec& s) {
+  kind(w, RecordKind::kSync);
+  w.i32(s.rank);
+  w.f64(s.local_time);
+  w.f64(s.ref_time);
+}
 
 void append_record(util::ByteWriter& w, const Record& rec) {
   std::visit(
       [&](const auto& r) {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, EventDef>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kEventDef));
+          kind(w, RecordKind::kEventDef);
           w.i32(r.event_id);
           w.str(r.name);
           w.str(r.color);
           w.str(r.format);
         } else if constexpr (std::is_same_v<T, StateDef>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kStateDef));
+          kind(w, RecordKind::kStateDef);
           w.i32(r.state_id);
           w.i32(r.start_event_id);
           w.i32(r.end_event_id);
@@ -44,31 +62,54 @@ void append_record(util::ByteWriter& w, const Record& rec) {
           w.str(r.color);
           w.str(r.format);
         } else if constexpr (std::is_same_v<T, ConstDef>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kConstDef));
+          kind(w, RecordKind::kConstDef);
           w.str(r.name);
           w.i64(r.value);
         } else if constexpr (std::is_same_v<T, EventRec>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kEvent));
-          w.f64(r.timestamp);
-          w.i32(r.rank);
-          w.i32(r.event_id);
-          w.str(r.text);
-        } else if constexpr (std::is_same_v<T, MsgRec>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kMsg));
-          w.f64(r.timestamp);
-          w.i32(r.rank);
-          w.u8(static_cast<std::uint8_t>(r.kind));
-          w.i32(r.partner);
-          w.i32(r.tag);
-          w.u32(r.size);
-        } else if constexpr (std::is_same_v<T, SyncRec>) {
-          w.u8(static_cast<std::uint8_t>(RecordKind::kSync));
-          w.i32(r.rank);
-          w.f64(r.local_time);
-          w.f64(r.ref_time);
+          append_event(w, r.timestamp, r.rank, r.event_id, r.text);
+        } else {
+          append_record(w, r);
         }
       },
       rec);
+}
+
+void append_header(util::ByteWriter& w, std::int32_t nranks, std::string_view comment,
+                   std::uint64_t nrecords, std::uint32_t version) {
+  w.raw(kMagic.data(), kMagic.size());
+  w.u32(version);
+  w.i32(nranks);
+  w.str(comment);
+  w.u64(nrecords);
+}
+
+void append_end(util::ByteWriter& w) { kind(w, RecordKind::kEndLog); }
+
+std::size_t timed_record_size(const std::uint8_t* p, std::size_t n) {
+  // kind + f64 + i32 rank + i32 id + u32 text length, then the text.
+  constexpr std::size_t kEventFixed = 21;
+  constexpr std::size_t kMsgBytes = 26;   // kind + f64 + i32 + u8 + 3 x 32-bit
+  constexpr std::size_t kSyncBytes = 21;  // kind + i32 + 2 x f64
+  std::size_t size = 0;
+  if (n > 0) {
+    switch (static_cast<RecordKind>(p[0])) {
+      case RecordKind::kEvent:
+        if (n >= kEventFixed) {
+          util::ByteReader len(p + kEventFixed - 4, 4);
+          size = kEventFixed + len.u32();
+        } else {
+          size = kEventFixed;
+        }
+        break;
+      case RecordKind::kMsg: size = kMsgBytes; break;
+      case RecordKind::kSync: size = kSyncBytes; break;
+      default:
+        throw util::IoError(util::strprintf("clog2: record kind %u is not a timed record",
+                                            static_cast<unsigned>(p[0])));
+    }
+  }
+  if (n == 0 || size > n) throw util::IoError("clog2: truncated record");
+  return size;
 }
 
 namespace {
@@ -272,37 +313,30 @@ void check_nranks(std::int32_t nranks) {
                                         nranks, kMaxRanks));
 }
 
-namespace {
-
-// Out of line, so the passing path of check_record stays small enough to
-// inline into the readers' per-record loops.
-[[noreturn]] void rank_error(std::uint64_t index, const char* what,
-                             std::int32_t r, std::int32_t nranks) {
+// Out of line, so the passing path of check_rank / check_timestamp stays
+// small enough to inline into the readers' per-record loops.
+void throw_rank_error(std::uint64_t index, const char* what, std::int32_t r,
+                      std::int32_t nranks) {
   throw util::IoError(util::strprintf("clog2: record %llu: %s %d outside [0, %d)",
                                       static_cast<unsigned long long>(index), what,
                                       r, nranks));
 }
 
-[[noreturn]] void timestamp_error(std::uint64_t index) {
+void throw_timestamp_error(std::uint64_t index) {
   throw util::IoError(util::strprintf("clog2: record %llu: timestamp not finite",
                                       static_cast<unsigned long long>(index)));
 }
 
-}  // namespace
-
 void check_record(const Record& rec, std::int32_t nranks, std::uint64_t index) {
-  const auto check = [&](const char* what, std::int32_t r) {
-    if (r < 0 || r >= nranks) rank_error(index, what, r, nranks);
-  };
   if (const auto* ev = std::get_if<EventRec>(&rec)) {
-    check("rank", ev->rank);
-    if (!std::isfinite(ev->timestamp)) timestamp_error(index);
+    check_rank("rank", ev->rank, nranks, index);
+    check_timestamp(ev->timestamp, index);
   } else if (const auto* m = std::get_if<MsgRec>(&rec)) {
-    check("rank", m->rank);
-    check("partner", m->partner);
-    if (!std::isfinite(m->timestamp)) timestamp_error(index);
+    check_rank("rank", m->rank, nranks, index);
+    check_rank("partner", m->partner, nranks, index);
+    check_timestamp(m->timestamp, index);
   } else if (const auto* sy = std::get_if<SyncRec>(&rec)) {
-    check("rank", sy->rank);
+    check_rank("rank", sy->rank, nranks, index);
   }
 }
 
@@ -376,13 +410,9 @@ StreamReader::Status StreamReader::next(Record* out) {
 
 std::vector<std::uint8_t> serialize(const File& file) {
   util::ByteWriter w;
-  w.raw(kMagic.data(), kMagic.size());
-  w.u32(file.version);
-  w.i32(file.nranks);
-  w.str(file.comment);
-  w.u64(file.records.size());
+  append_header(w, file.nranks, file.comment, file.records.size(), file.version);
   for (const auto& rec : file.records) append_record(w, rec);
-  w.u8(static_cast<std::uint8_t>(RecordKind::kEndLog));
+  append_end(w);
   return w.take();
 }
 

@@ -12,10 +12,12 @@
 // a parseable CLOG-2 file that can be inspected with clog2print.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -122,9 +124,57 @@ void check_nranks(std::int32_t nranks);
 /// and always pass.
 void check_record(const Record& rec, std::int32_t nranks, std::uint64_t index);
 
+[[noreturn]] void throw_rank_error(std::uint64_t index, const char* what,
+                                   std::int32_t r, std::int32_t nranks);
+[[noreturn]] void throw_timestamp_error(std::uint64_t index);
+
+/// check_record's field checks, with its messages, for a writer that checks
+/// a record before encoding it (mpe::Logger). `what` is "rank" or "partner".
+inline void check_rank(const char* what, std::int32_t r, std::int32_t nranks,
+                       std::uint64_t index) {
+  if (r < 0 || r >= nranks) throw_rank_error(index, what, r, nranks);
+}
+inline void check_timestamp(double t, std::uint64_t index) {
+  if (!std::isfinite(t)) throw_timestamp_error(index);
+}
+
+// --- the wire layout ---------------------------------------------------------
+// A file is a header (append_header), the records (append_record) and one
+// end-of-log byte (append_end). mpe::Logger keeps each rank's log in this
+// form from the moment a record is logged, so a record is encoded once.
+
+/// The byte each record starts with.
+enum class RecordKind : std::uint8_t {
+  kEventDef = 1,
+  kStateDef = 2,
+  kConstDef = 3,
+  kEvent = 4,
+  kMsg = 5,
+  kSync = 6,
+  kEndLog = 255,
+};
+
+/// Offset of the f64 timestamp inside an Event or Msg record.
+inline constexpr std::size_t kTimestampOffset = 1;
+
+/// Bytes of the Event, Msg or Sync record starting at `p`, with `n` bytes
+/// readable, read from its kind byte and text length alone. Throws
+/// util::IoError on any other kind or a record running past `n`.
+std::size_t timed_record_size(const std::uint8_t* p, std::size_t n);
+
+void append_header(util::ByteWriter& w, std::int32_t nranks,
+                   std::string_view comment, std::uint64_t nrecords,
+                   std::uint32_t version = kFormatVersion);
+void append_end(util::ByteWriter& w);
+
 /// Append one record in the on-disk layout (used by the robust-log spill
 /// files, which are bare record streams without the file header).
 void append_record(util::ByteWriter& w, const Record& rec);
+void append_record(util::ByteWriter& w, const MsgRec& m);
+void append_record(util::ByteWriter& w, const SyncRec& s);
+/// The EventRec layout from its fields, without building the record.
+void append_event(util::ByteWriter& w, double timestamp, std::int32_t rank,
+                  std::int32_t event_id, std::string_view text);
 
 /// Read one record; throws util::IoError on a malformed or truncated
 /// record. Callers streaming a possibly-truncated spill catch the error at

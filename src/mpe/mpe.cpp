@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/color.hpp"
 #include "util/fs.hpp"
-#include "util/strings.hpp"
 
 namespace mpe {
 
@@ -24,35 +24,98 @@ int logged_rank(const clog2::Record& rec) {
   if (const auto* s = std::get_if<clog2::SyncRec>(&rec)) return s->rank;
   return -1;
 }
-}  // namespace
 
-double record_time(const clog2::Record& rec) {
-  if (const auto* e = std::get_if<clog2::EventRec>(&rec)) return e->timestamp;
-  if (const auto* m = std::get_if<clog2::MsgRec>(&rec)) return m->timestamp;
-  return 0.0;
+// The little-endian f64 timestamp of the wire record starting at `rec`.
+double load_time(const std::uint8_t* rec) {
+  const std::uint8_t* p = rec + clog2::kTimestampOffset;
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < 8; ++i) bits |= std::uint64_t{p[i]} << (8 * i);
+  double t;
+  std::memcpy(&t, &bits, sizeof t);
+  return t;
 }
 
-std::vector<clog2::Record> merge_timed(std::vector<std::vector<clog2::Record>> streams) {
-  std::size_t total = 0;
-  for (auto& s : streams) {
-    total += s.size();
+void store_time(std::uint8_t* rec, double t) {
+  std::uint8_t* p = rec + clog2::kTimestampOffset;
+  std::uint64_t bits;
+  std::memcpy(&bits, &t, sizeof bits);
+  for (std::size_t i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+}
+
+/// One rank's log on its way into a file: the located timed records and
+/// the sync samples lifted out of the stream.
+struct RankLog {
+  WireStream stream;
+  std::vector<clog2::SyncRec> syncs;
+};
+
+/// Apply the rank's clock correction to every timestamp in place (the
+/// expression ClockFit::apply, so the bytes are what correcting a decoded
+/// record and encoding it again gives). A time the correction takes out of
+/// the finite range ends the stream there.
+void correct(RankLog& log) {
+  const ClockFit fit = fit_clock(log.syncs);
+  auto& starts = log.stream.starts;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    std::uint8_t* rec = log.stream.bytes.data() + starts[k];
+    const double t = fit.apply(load_time(rec));
+    if (!std::isfinite(t)) {
+      starts.resize(k);
+      break;
+    }
+    store_time(rec, t);
+  }
+}
+
+/// Header, `head` (definitions and constants), every log's sync samples in
+/// log order, the merged timed records and the end marker: the file
+/// finish_log and salvage write, encoded into one exactly sized buffer.
+std::vector<std::uint8_t> encode_file(std::int32_t nranks, std::string_view comment,
+                                      const std::vector<clog2::Record>& head,
+                                      std::vector<RankLog> logs) {
+  util::ByteWriter defs;
+  for (const auto& rec : head) clog2::append_record(defs, rec);
+  util::ByteWriter syncs;
+  std::uint64_t nrecords = head.size();
+  std::size_t record_bytes = 0;
+  std::vector<WireStream> streams;
+  streams.reserve(logs.size());
+  for (auto& log : logs) {
+    for (const auto& s : log.syncs) clog2::append_record(syncs, s);
+    nrecords += log.syncs.size() + log.stream.starts.size();
+    record_bytes += log.stream.bytes.size();
+    streams.push_back(std::move(log.stream));
+  }
+  util::ByteWriter w;
+  w.reserve(64 + comment.size() + defs.size() + syncs.size() + record_bytes);
+  clog2::append_header(w, nranks, comment, nrecords);
+  w.raw(defs.bytes().data(), defs.size());
+  w.raw(syncs.bytes().data(), syncs.size());
+  merge_streams(std::move(streams), w);
+  clog2::append_end(w);
+  return w.take();
+}
+}  // namespace
+
+void merge_streams(std::vector<WireStream> streams, util::ByteWriter& out) {
+  const auto time_at = [&](std::size_t s, std::size_t pos) {
+    return load_time(streams[s].bytes.data() + streams[s].starts[pos]);
+  };
+  for (std::size_t s = 0; s < streams.size(); ++s) {
     // Local repair: a clock fit with non-positive slope (or hand-stamped
     // records) can leave this stream non-monotonic; fix it here so the heap
     // merge below only ever has to compare stream fronts.
-    bool sorted = true;
-    for (std::size_t i = 1; i < s.size(); ++i)
-      if (record_time(s[i]) < record_time(s[i - 1])) {
-        sorted = false;
+    auto& starts = streams[s].starts;
+    for (std::size_t i = 1; i < starts.size(); ++i)
+      if (time_at(s, i) < time_at(s, i - 1)) {
+        const std::uint8_t* base = streams[s].bytes.data();
+        std::stable_sort(starts.begin(), starts.end(),
+                         [base](std::size_t a, std::size_t b) {
+                           return load_time(base + a) < load_time(base + b);
+                         });
         break;
       }
-    if (!sorted)
-      std::stable_sort(s.begin(), s.end(), [](const auto& a, const auto& b) {
-        return record_time(a) < record_time(b);
-      });
   }
-
-  std::vector<clog2::Record> out;
-  out.reserve(total);
 
   // Heap of stream cursors, smallest (time, stream index) on top. The
   // stream-index tie-break plus per-stream FIFO order reproduces the
@@ -69,21 +132,23 @@ std::vector<clog2::Record> merge_timed(std::vector<std::vector<clog2::Record>> s
   std::vector<Cursor> heap;
   heap.reserve(streams.size());
   for (std::size_t s = 0; s < streams.size(); ++s)
-    if (!streams[s].empty()) heap.push_back(Cursor{record_time(streams[s][0]), s, 0});
+    if (!streams[s].starts.empty()) heap.push_back(Cursor{time_at(s, 0), s, 0});
   std::make_heap(heap.begin(), heap.end(), later);
 
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor cur = heap.back();
-    heap.pop_back();
-    auto& stream = streams[cur.stream];
-    out.emplace_back(std::move(stream[cur.pos]));
-    if (cur.pos + 1 < stream.size()) {
-      heap.push_back(Cursor{record_time(stream[cur.pos + 1]), cur.stream, cur.pos + 1});
+    Cursor& cur = heap.back();
+    const WireStream& stream = streams[cur.stream];
+    const std::size_t at = stream.starts[cur.pos];
+    out.raw(stream.bytes.data() + at,
+            clog2::timed_record_size(stream.bytes.data() + at, stream.bytes.size() - at));
+    if (++cur.pos < stream.starts.size()) {
+      cur.t = time_at(cur.stream, cur.pos);
       std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
     }
   }
-  return out;
 }
 
 ClockFit fit_clock(const std::vector<clog2::SyncRec>& samples) {
@@ -120,11 +185,27 @@ Logger::Logger(mpisim::World& world, Options opts)
   if (opts_.sync_rounds < 1)
     throw util::UsageError("mpe::Logger needs at least one sync round");
   buffers_.resize(static_cast<std::size_t>(world.nprocs()));
+  id_tables_.push_back(std::make_unique<IdTable>(64));
+  ids_.store(id_tables_.back().get(), std::memory_order_release);
 }
 
 int Logger::get_event_number() {
   std::lock_guard lk(defs_mu_);
   return next_event_id_++;
+}
+
+void Logger::mark_defined(int event_id) {
+  const auto id = static_cast<std::size_t>(event_id);
+  const IdTable& cur = *id_tables_.back();
+  if (id >= cur.size) {
+    auto bigger = std::make_unique<IdTable>(std::max(2 * cur.size, id + 1));
+    for (std::size_t i = 0; i < cur.size; ++i)
+      bigger->known[i].store(cur.known[i].load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+    id_tables_.push_back(std::move(bigger));
+  }
+  id_tables_.back()->known[id].store(true, std::memory_order_release);
+  ids_.store(id_tables_.back().get(), std::memory_order_release);
 }
 
 void Logger::define_event(int event_id, std::string name, std::string color,
@@ -140,6 +221,7 @@ void Logger::define_event(int event_id, std::string name, std::string color,
                            std::to_string(event_id) + " already defined by '" +
                            it->second + "'");
   known_event_ids_[event_id] = name;
+  mark_defined(event_id);
   event_defs_.push_back(clog2::EventDef{event_id, std::move(name), std::move(color),
                                         std::move(format)});
 }
@@ -163,14 +245,12 @@ void Logger::define_state(int start_event_id, int end_event_id, std::string name
                            "': start and end events must differ");
   known_event_ids_[start_event_id] = name;
   known_event_ids_[end_event_id] = name;
+  mark_defined(start_event_id);
+  mark_defined(end_event_id);
   const int state_id = static_cast<int>(state_defs_.size()) + 1;
   state_defs_.push_back(clog2::StateDef{state_id, start_event_id, end_event_id,
                                         std::move(name), std::move(color),
                                         std::move(format)});
-}
-
-std::string Logger::clip(std::string_view text) const {
-  return util::truncate_bytes(text, opts_.max_text_bytes);
 }
 
 namespace {
@@ -180,8 +260,7 @@ std::string spill_rank_path(const std::string& base, int rank) {
 std::string spill_defs_path(const std::string& base) { return base + ".defs.spill"; }
 }  // namespace
 
-void Logger::spill_record(int rank, const clog2::Record& rec) {
-  if (opts_.spill_base.empty()) return;
+void Logger::spill(int rank, const std::uint8_t* data, std::size_t n) {
   auto& buf = buffers_[static_cast<std::size_t>(rank)];
   if (buf.spill_broken) return;
   if (!buf.spill) {
@@ -190,17 +269,14 @@ void Logger::spill_record(int rank, const clog2::Record& rec) {
     if (!*buf.spill)
       throw util::IoError("cannot open spill file for rank " + std::to_string(rank));
   }
-  util::ByteWriter w;
-  clog2::append_record(w, rec);
   ++buf.spill_writes;
-  std::size_t keep = w.size();
-  if (opts_.spill_fault)
-    keep = std::min(opts_.spill_fault(rank, buf.spill_writes, w.size()), w.size());
-  buf.spill->write(reinterpret_cast<const char*>(w.bytes().data()),
+  std::size_t keep = n;
+  if (opts_.spill_fault) keep = std::min(opts_.spill_fault(rank, buf.spill_writes, n), n);
+  buf.spill->write(reinterpret_cast<const char*>(data),
                    static_cast<std::streamsize>(keep));
   // Flush per record: the whole point is surviving a sudden death.
   buf.spill->flush();
-  if (keep < w.size() || !*buf.spill) {
+  if (keep < n || !*buf.spill) {
     // Injected or real write failure. Keep the damaged prefix on disk (the
     // salvager drops the torn tail) and stop spilling; records still buffer
     // in memory, so a clean finish writes the full trace regardless.
@@ -236,30 +312,22 @@ void Logger::log_event(mpisim::Comm& comm, int event_id, std::string_view text) 
 
 void Logger::log_event_at(mpisim::Comm& comm, double local_time, int event_id,
                           std::string_view text) {
-  {
-    std::lock_guard lk(defs_mu_);
-    if (known_event_ids_.find(event_id) == known_event_ids_.end())
-      throw util::UsageError("log_event: event id " + std::to_string(event_id) +
-                             " has no definition");
-  }
-  auto& buf = buffers_[static_cast<std::size_t>(comm.rank())];
-  buf.records.emplace_back(
-      clog2::EventRec{local_time, comm.rank(), event_id, clip(text)});
-  if (!opts_.spill_base.empty()) spill_record(comm.rank(), buf.records.back());
-  record_logged(comm.rank());
+  const IdTable& ids = *ids_.load(std::memory_order_acquire);
+  const auto id = static_cast<std::size_t>(event_id);
+  if (event_id <= 0 || id >= ids.size || !ids.known[id].load(std::memory_order_acquire))
+    throw util::UsageError("log_event: event id " + std::to_string(event_id) +
+                           " has no definition");
+  const int rank = comm.rank();
+  auto& buf = buffers_[static_cast<std::size_t>(rank)];
+  clog2::check_timestamp(local_time, buf.count);
+  const std::size_t at = buf.records.size();
+  clog2::append_event(buf.records, local_time, rank, event_id,
+                      text.substr(0, opts_.max_text_bytes));
+  appended(rank, at);
 }
 
 void Logger::log_send(mpisim::Comm& comm, int dst, int tag, std::size_t bytes) {
-  clog2::MsgRec m;
-  m.timestamp = comm.wtime();
-  m.rank = comm.rank();
-  m.kind = clog2::MsgRec::Kind::kSend;
-  m.partner = dst;
-  m.tag = tag;
-  m.size = static_cast<std::uint32_t>(bytes);
-  buffers_[static_cast<std::size_t>(comm.rank())].records.emplace_back(m);
-  if (!opts_.spill_base.empty()) spill_record(comm.rank(), clog2::Record{m});
-  record_logged(comm.rank());
+  log_msg(comm, comm.wtime(), clog2::MsgRec::Kind::kSend, dst, tag, bytes);
 }
 
 void Logger::log_receive(mpisim::Comm& comm, int src, int tag, std::size_t bytes) {
@@ -268,38 +336,49 @@ void Logger::log_receive(mpisim::Comm& comm, int src, int tag, std::size_t bytes
 
 void Logger::log_receive_at(mpisim::Comm& comm, double local_time, int src, int tag,
                             std::size_t bytes) {
-  clog2::MsgRec m;
-  m.timestamp = local_time;
-  m.rank = comm.rank();
-  m.kind = clog2::MsgRec::Kind::kRecv;
-  m.partner = src;
-  m.tag = tag;
-  m.size = static_cast<std::uint32_t>(bytes);
-  buffers_[static_cast<std::size_t>(comm.rank())].records.emplace_back(m);
-  if (!opts_.spill_base.empty()) spill_record(comm.rank(), clog2::Record{m});
-  record_logged(comm.rank());
+  log_msg(comm, local_time, clog2::MsgRec::Kind::kRecv, src, tag, bytes);
 }
 
-void Logger::record_logged(int rank) {
+void Logger::log_msg(mpisim::Comm& comm, double local_time, clog2::MsgRec::Kind kind,
+                     int partner, int tag, std::size_t bytes) {
+  const int rank = comm.rank();
   auto& buf = buffers_[static_cast<std::size_t>(rank)];
-  ++buf.logged;
+  clog2::check_rank("partner", partner, world_.nprocs(), buf.count);
+  clog2::check_timestamp(local_time, buf.count);
+  const std::size_t at = buf.records.size();
+  clog2::append_record(buf.records, clog2::MsgRec{local_time, rank, kind, partner, tag,
+                                                  static_cast<std::uint32_t>(bytes)});
+  appended(rank, at);
+}
+
+void Logger::appended(int rank, std::size_t at) {
+  auto& buf = buffers_[static_cast<std::size_t>(rank)];
+  // Robust mode spills exactly the bytes just buffered.
+  if (!opts_.spill_base.empty())
+    spill(rank, buf.records.bytes().data() + at, buf.records.size() - at);
+  ++buf.count;
   // Fault injection: crash=RANK@event:N fires here, after the record was
   // buffered and spilled — the first N records are the salvageable prefix.
-  if (opts_.on_record) opts_.on_record(rank, buf.logged);
+  if (opts_.on_record) opts_.on_record(rank, buf.count);
+}
+
+void Logger::add_sync(int rank, const clog2::SyncRec& sample) {
+  buffers_[static_cast<std::size_t>(rank)].sync_samples.push_back(sample);
+  if (opts_.spill_base.empty()) return;
+  util::ByteWriter w;
+  clog2::append_record(w, sample);
+  spill(rank, w.bytes().data(), w.size());
 }
 
 void Logger::log_sync_clocks(mpisim::Comm& comm) {
   const int rank = comm.rank();
   const int n = comm.size();
-  auto& buf = buffers_[static_cast<std::size_t>(rank)];
 
   if (rank == 0) {
     // Reference clock: answer each rank's pings in rank order, and record
     // an identity sample for ourselves.
     const double t = comm.wtime();
-    buf.sync_samples.push_back(clog2::SyncRec{0, t, t});
-    if (!opts_.spill_base.empty())
-      spill_record(0, clog2::Record{buf.sync_samples.back()});
+    add_sync(0, clog2::SyncRec{0, t, t});
     for (int r = 1; r < n; ++r) {
       for (int round = 0; round < opts_.sync_rounds; ++round) {
         comm.recv(r, kTagSyncPing, nullptr, 0);
@@ -327,85 +406,46 @@ void Logger::log_sync_clocks(mpisim::Comm& comm) {
       best.ref_time = ref;
     }
   }
-  buf.sync_samples.push_back(best);
-  if (!opts_.spill_base.empty()) spill_record(rank, clog2::Record{best});
-}
-
-clog2::File Logger::merge_all(std::vector<RankBuffer> buffers) {
-  clog2::File out;
-  out.nranks = world_.nprocs();
-  out.comment = opts_.comment;
-
-  {
-    std::lock_guard lk(defs_mu_);
-    for (const auto& d : event_defs_) out.records.emplace_back(d);
-    for (const auto& d : state_defs_) out.records.emplace_back(d);
-  }
-  out.records.emplace_back(clog2::ConstDef{"world_size", world_.nprocs()});
-  out.records.emplace_back(clog2::ConstDef{"sync_rounds", opts_.sync_rounds});
-
-  // Per-rank clock corrections from the sync samples.
-  std::vector<ClockFit> fits(static_cast<std::size_t>(world_.nprocs()));
-  for (std::size_t r = 0; r < buffers.size(); ++r) {
-    fits[r] = fit_clock(buffers[r].sync_samples);
-    for (const auto& s : buffers[r].sync_samples) out.records.emplace_back(s);
-  }
-
-  // Correct timestamps in place, then k-way merge the per-rank streams.
-  // Each stream is already time-ordered (monotonic rank clocks, linear
-  // correction), so the merge is O(n log k) with no global sort and no
-  // intermediate copy of the trace; merge_timed repairs the rare stream a
-  // degenerate correction left inverted.
-  std::vector<std::vector<clog2::Record>> streams;
-  streams.reserve(buffers.size());
-  for (std::size_t r = 0; r < buffers.size(); ++r) {
-    for (auto& rec : buffers[r].records) {
-      if (auto* e = std::get_if<clog2::EventRec>(&rec)) {
-        e->timestamp = fits[r].apply(e->timestamp);
-      } else if (auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-        m->timestamp = fits[r].apply(m->timestamp);
-      }
-    }
-    streams.push_back(std::move(buffers[r].records));
-  }
-  for (auto& rec : merge_timed(std::move(streams)))
-    out.records.emplace_back(std::move(rec));
-  return out;
+  add_sync(rank, best);
 }
 
 double Logger::finish_log(mpisim::Comm& comm, const std::filesystem::path& out) {
   const int rank = comm.rank();
   const int n = comm.size();
 
+  // A rank's stream is its record bytes followed by its sync samples, so
+  // the gather needs no framing: rank 0 tells them apart by kind.
+  auto& mine = buffers_[static_cast<std::size_t>(rank)];
+  for (const auto& s : mine.sync_samples) clog2::append_record(mine.records, s);
   if (rank != 0) {
-    // Ship this rank's buffer to rank 0 as an embedded CLOG-2 fragment.
-    auto& mine = buffers_[static_cast<std::size_t>(rank)];
-    clog2::File fragment;
-    fragment.nranks = n;
-    fragment.records = std::move(mine.records);
-    for (const auto& s : mine.sync_samples) fragment.records.emplace_back(s);
-    const auto bytes = clog2::serialize(fragment);
-    comm.send(0, kTagCollect, bytes.data(), bytes.size());
+    comm.send(0, kTagCollect, mine.records.bytes().data(), mine.records.size());
+    mine.records = util::ByteWriter{};
     return 0.0;
   }
 
   const double t_start = comm.wtime();
 
-  std::vector<RankBuffer> buffers(static_cast<std::size_t>(n));
-  buffers[0] = std::move(buffers_[0]);
-  std::size_t total_records = buffers[0].records.size();
-  for (int r = 1; r < n; ++r) {
-    auto [st, bytes] = comm.recv_any_size(r, kTagCollect);
-    clog2::File fragment = clog2::parse(bytes);
-    auto& dst = buffers[static_cast<std::size_t>(r)];
-    for (auto& rec : fragment.records) {
-      if (auto* s = std::get_if<clog2::SyncRec>(&rec)) {
-        dst.sync_samples.push_back(*s);
+  std::vector<RankLog> logs;
+  logs.reserve(static_cast<std::size_t>(n));
+  logs.emplace_back().stream.bytes = mine.records.take();
+  for (int r = 1; r < n; ++r)
+    logs.emplace_back().stream.bytes = std::move(comm.recv_any_size(r, kTagCollect).second);
+  std::size_t total_records = 0;
+  for (auto& log : logs) {
+    // One walk finds every record start; the records were checked when
+    // they were logged, so only the sync samples are decoded.
+    const auto& bytes = log.stream.bytes;
+    for (std::size_t at = 0; at < bytes.size();) {
+      const std::size_t size = clog2::timed_record_size(bytes.data() + at, bytes.size() - at);
+      if (bytes[at] == static_cast<std::uint8_t>(clog2::RecordKind::kSync)) {
+        util::ByteReader r(bytes.data() + at, size);
+        log.syncs.push_back(std::get<clog2::SyncRec>(clog2::read_record(r)));
       } else {
-        dst.records.emplace_back(std::move(rec));
+        log.stream.starts.push_back(at);
       }
+      at += size;
     }
-    total_records += dst.records.size();
+    total_records += log.stream.starts.size();
   }
 
   // Charge the simulated machine for the merge so "wrap-up time" exists in
@@ -413,8 +453,16 @@ double Logger::finish_log(mpisim::Comm& comm, const std::filesystem::path& out) 
   comm.compute(opts_.merge_base_cost +
                opts_.merge_cost_per_record * static_cast<double>(total_records));
 
-  merged_ = merge_all(std::move(buffers));
-  clog2::write_file(out, *merged_);
+  std::vector<clog2::Record> head;
+  {
+    std::lock_guard lk(defs_mu_);
+    head.assign(event_defs_.begin(), event_defs_.end());
+    head.insert(head.end(), state_defs_.begin(), state_defs_.end());
+  }
+  head.emplace_back(clog2::ConstDef{"world_size", world_.nprocs()});
+  head.emplace_back(clog2::ConstDef{"sync_rounds", opts_.sync_rounds});
+  for (auto& log : logs) correct(log);
+  util::write_file(out, encode_file(world_.nprocs(), opts_.comment, head, std::move(logs)));
   // The real log made it to disk: the crash-recovery spills are obsolete.
   remove_spill_files();
   return comm.wtime() - t_start;
@@ -423,36 +471,31 @@ double Logger::finish_log(mpisim::Comm& comm, const std::filesystem::path& out) 
 clog2::File salvage(const std::string& spill_base, const std::string& comment) {
   namespace fs = std::filesystem;
 
-  clog2::File out;
-  out.comment = comment;
-
   // Definitions (written before logging started).
   const fs::path defs_path = spill_base + ".defs.spill";
-  std::vector<clog2::EventDef> event_defs;
-  std::vector<clog2::StateDef> state_defs;
+  std::vector<clog2::Record> head;
   bool found_anything = false;
   if (fs::exists(defs_path)) {
     found_anything = true;
     const auto bytes = util::read_file(defs_path);
     util::ByteReader r(bytes);
+    std::vector<clog2::Record> states;
     try {
       while (!r.at_end()) {
         auto rec = clog2::read_record(r);
-        if (auto* e = std::get_if<clog2::EventDef>(&rec)) event_defs.push_back(*e);
-        if (auto* s = std::get_if<clog2::StateDef>(&rec)) state_defs.push_back(*s);
+        if (std::holds_alternative<clog2::EventDef>(rec)) head.push_back(std::move(rec));
+        else if (std::holds_alternative<clog2::StateDef>(rec)) states.push_back(std::move(rec));
       }
     } catch (const util::IoError&) {
       // Truncated defs tail: keep what parsed.
     }
+    head.insert(head.end(), states.begin(), states.end());
   }
+  head.emplace_back(clog2::ConstDef{"salvaged", 1});
 
-  // Per-rank record streams; a hole in the rank sequence is fine (that
-  // rank died before logging anything).
-  struct Fragment {
-    std::vector<clog2::Record> records;
-    std::vector<clog2::SyncRec> syncs;
-  };
-  std::map<int, Fragment> fragments;
+  // Per-rank wire streams, in rank order; a hole in the rank sequence is
+  // fine (that rank died before logging anything).
+  std::vector<RankLog> logs;
   int last_file = -1;
   // The header must cover every kept rank and partner; spill files open
   // at a rank's first record, so a partner may name a rank with no file.
@@ -466,11 +509,12 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
     }
     found_anything = true;
     last_file = rank;
-    auto& frag = fragments[rank];
-    const auto bytes = util::read_file(path);
-    util::ByteReader r(bytes);
+    RankLog& log = logs.emplace_back();
+    log.stream.bytes = util::read_file(path);
+    util::ByteReader r(log.stream.bytes);
     try {
       for (std::uint64_t n = 0; !r.at_end(); ++n) {
+        const std::size_t at = r.pos();
         auto rec = clog2::read_record(r);
         // A record logged under another rank, naming a partner no header can
         // cover, or stamped with a non-finite time is corruption: the stream
@@ -484,9 +528,9 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
           break;
         max_rank = std::max({max_rank, rank, m != nullptr ? m->partner : -1});
         if (s != nullptr) {
-          frag.syncs.push_back(*s);
+          log.syncs.push_back(*s);
         } else {
-          frag.records.push_back(std::move(rec));
+          log.stream.starts.push_back(at);
         }
       }
     } catch (const util::IoError&) {
@@ -497,41 +541,12 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
   if (!found_anything)
     throw util::IoError("salvage: no spill files found at " + spill_base);
 
-  out.nranks = max_rank + 1;
-  for (const auto& d : event_defs) out.records.emplace_back(d);
-  for (const auto& d : state_defs) out.records.emplace_back(d);
-  out.records.emplace_back(clog2::ConstDef{"salvaged", 1});
-
-  std::vector<std::vector<clog2::Record>> streams;
-  streams.reserve(fragments.size());
-  for (auto& [rank, frag] : fragments) {
-    const ClockFit fit = fit_clock(frag.syncs);
-    for (const auto& s : frag.syncs) out.records.emplace_back(s);
-    for (std::size_t k = 0; k < frag.records.size(); ++k) {
-      auto& rec = frag.records[k];
-      double* t = nullptr;
-      if (auto* e = std::get_if<clog2::EventRec>(&rec)) {
-        t = &e->timestamp;
-      } else if (auto* m = std::get_if<clog2::MsgRec>(&rec)) {
-        t = &m->timestamp;
-      }
-      if (t == nullptr) continue;
-      *t = fit.apply(*t);
-      // An extreme fit can overflow a finite time; the stream ends there.
-      if (!std::isfinite(*t)) {
-        frag.records.resize(k);
-        break;
-      }
-    }
-    streams.push_back(std::move(frag.records));
-  }
-  for (auto& rec : merge_timed(std::move(streams)))
-    out.records.emplace_back(std::move(rec));
-  return out;
+  for (auto& log : logs) correct(log);
+  return clog2::parse(encode_file(max_rank + 1, comment, head, std::move(logs)));
 }
 
 std::size_t Logger::buffered(int rank) const {
-  return buffers_.at(static_cast<std::size_t>(rank)).records.size();
+  return static_cast<std::size_t>(buffers_.at(static_cast<std::size_t>(rank)).count);
 }
 
 }  // namespace mpe

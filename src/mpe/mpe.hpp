@@ -3,15 +3,19 @@
 // Mirrors the real MPE architecture:
 //  * event IDs are allocated up front (get_event_number) and given
 //    name/colour properties via define_event / define_state;
-//  * each rank appends instances to a private in-memory buffer — logging a
-//    record costs a few nanoseconds, which is why the paper measures MPE
-//    overhead as "extremely slight";
+//  * each rank appends its records to a private byte buffer already in
+//    CLOG-2 wire form (the clog2::append_record layout), like MPE's
+//    per-rank block buffers: a record is checked and encoded once, where it
+//    is logged, and never decoded again — which is why the paper measures
+//    MPE overhead as "extremely slight";
 //  * log_send / log_receive record the two halves of a message, later paired
 //    into arrows by the CLOG-2 → SLOG-2 converter;
 //  * log_sync_clocks estimates each rank's clock offset/skew against rank 0
 //    via min-RTT ping-pong (call it at start and end to correct skew too);
-//  * finish_log gathers all buffers at rank 0, applies the clock
-//    correction, time-merges, and writes a single CLOG-2 file — the paper's
+//  * finish_log sends every rank's bytes to rank 0 as they are; rank 0 walks
+//    each stream once, patches each timestamp in place with that rank's
+//    clock correction, k-way merges the encoded streams by corrected time
+//    (merge_streams) and writes the file from one buffer — the paper's
 //    measured "wrap-up" cost.
 //
 // Like real MPE, everything rides on ordinary messages, so if the program
@@ -19,19 +23,21 @@
 // exactly this limitation, and the Pilot integration reproduces it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "clog2/clog2.hpp"
 #include "mpisim/world.hpp"
+#include "util/bytebuf.hpp"
 
 namespace mpe {
 
@@ -49,23 +55,25 @@ struct ClockFit {
 /// for one, least-squares line for two or more.
 ClockFit fit_clock(const std::vector<clog2::SyncRec>& samples);
 
-/// K-way time-merge of per-stream record sequences into one chronological
-/// stream. Each input stream is expected to be time-ordered already (a rank
-/// logs with a monotonic clock, and a linear clock correction with positive
-/// slope preserves that order); the rare post-correction inversion — a
-/// degenerate fit with non-positive slope, or an explicitly stamped
-/// out-of-order record — is detected and repaired with a local stable sort
-/// of that stream only. The merge is a heap over one cursor per stream
-/// (O(n log k) comparisons, no global sort, no intermediate copy of the
-/// trace) and is tie-broken by stream index, so the output is byte-for-byte
-/// what concatenating the streams in order and stable-sorting by timestamp
-/// used to produce.
-std::vector<clog2::Record> merge_timed(std::vector<std::vector<clog2::Record>> streams);
+/// One rank's timed records in CLOG-2 wire form: Event and Msg records in
+/// the clog2::append_record layout, in the order the rank logged them, and
+/// the byte offset where each one starts.
+struct WireStream {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> starts;
+};
 
-/// Timestamp of a timed record (EventRec/MsgRec); definition records carry
-/// no clock and sort as 0. This is the key merge_timed orders by, exposed so
-/// benches and tests can reproduce the seed's sort path exactly.
-double record_time(const clog2::Record& rec);
+/// K-way time-merge of per-rank wire streams: appends every record of
+/// `streams` to `out`, ordered by (timestamp, stream index) and, within a
+/// stream, in logged order. Each stream is expected to be time-ordered
+/// already (a rank logs with a monotonic clock, and a linear clock
+/// correction with positive slope preserves that order); the rare
+/// inversion — a degenerate fit with non-positive slope, or an explicitly
+/// stamped out-of-order record — is repaired with a stable sort of that
+/// stream's `starts` only. Records are copied as bytes, never decoded, so
+/// the output is byte-for-byte what concatenating the streams in order and
+/// stable-sorting the records by timestamp produces.
+void merge_streams(std::vector<WireStream> streams, util::ByteWriter& out);
 
 class Logger {
 public:
@@ -118,6 +126,10 @@ public:
                     std::string color, std::string format = {});
 
   // --- logging (called from rank threads; wait-free per rank) -------------
+  // Each record is checked where it enters, with clog2::check_record's
+  // messages: a partner outside [0, nprocs) or a non-finite time throws
+  // util::IoError and nothing is logged.
+
   /// MPE_Log_event: record an instance of `event_id` now, with optional
   /// popup text (silently truncated to max_text_bytes, like MPE).
   void log_event(mpisim::Comm& comm, int event_id, std::string_view text = {});
@@ -140,8 +152,9 @@ public:
   /// sync sample. Call once near start and once near end to correct skew.
   void log_sync_clocks(mpisim::Comm& comm);
 
-  /// MPE_Finish_log: collective. Gathers all per-rank buffers at rank 0,
-  /// applies clock corrections, merges by corrected time and writes `out`.
+  /// MPE_Finish_log: collective. Gathers every rank's wire bytes at rank 0,
+  /// patches in the clock corrections, merges by corrected time and writes
+  /// `out` in one write.
   /// Returns the wrap-up duration in virtual seconds on rank 0 (0 elsewhere).
   double finish_log(mpisim::Comm& comm, const std::filesystem::path& out);
 
@@ -152,24 +165,34 @@ public:
   /// call after all define_* calls, before logging starts).
   void write_spill_defs();
 
-  /// Build the merged file in memory (what finish_log writes); callable
-  /// after finish_log has run, or directly in single-threaded tests.
-  [[nodiscard]] const std::optional<clog2::File>& merged() const { return merged_; }
-
 private:
   struct RankBuffer {
-    std::vector<clog2::Record> records;     // EventRec / MsgRec, local clock
+    util::ByteWriter records;  // Event / Msg records in wire form, local clock
+    std::uint64_t count = 0;   // records in `records`
     std::vector<clog2::SyncRec> sync_samples;  // (local, ref) pairs
     std::unique_ptr<std::ofstream> spill;   // robust mode only
-    std::uint64_t logged = 0;        // instance records buffered so far
     std::uint64_t spill_writes = 0;  // spill writes attempted so far
     bool spill_broken = false;       // stream hit a (possibly injected) fault
   };
 
-  clog2::File merge_all(std::vector<RankBuffer> buffers);
-  [[nodiscard]] std::string clip(std::string_view text) const;
-  void spill_record(int rank, const clog2::Record& rec);
-  void record_logged(int rank);
+  /// Dense event-id table: known[id] is set once `id` has a definition.
+  /// log_event_at reads the current table through `ids_` without a lock;
+  /// a definition past the end publishes a larger copy, and every table
+  /// lives as long as the Logger, so a reader holding an old one stays
+  /// valid.
+  struct IdTable {
+    explicit IdTable(std::size_t n)
+        : size(n), known(std::make_unique<std::atomic<bool>[]>(n)) {}
+    std::size_t size;
+    std::unique_ptr<std::atomic<bool>[]> known;
+  };
+
+  void mark_defined(int event_id);  // under defs_mu_
+  void log_msg(mpisim::Comm& comm, double local_time, clog2::MsgRec::Kind kind,
+               int partner, int tag, std::size_t bytes);
+  void appended(int rank, std::size_t at);
+  void add_sync(int rank, const clog2::SyncRec& sample);
+  void spill(int rank, const std::uint8_t* data, std::size_t n);
   void remove_spill_files();
 
   mpisim::World& world_;
@@ -180,9 +203,10 @@ private:
   std::vector<clog2::EventDef> event_defs_;
   std::vector<clog2::StateDef> state_defs_;
   std::map<int, std::string> known_event_ids_;  // id -> owning def name
+  std::vector<std::unique_ptr<IdTable>> id_tables_;  // under defs_mu_; last is current
+  std::atomic<const IdTable*> ids_{nullptr};
 
   std::vector<RankBuffer> buffers_;  // index = rank; touched only by that rank
-  std::optional<clog2::File> merged_;
 };
 
 /// Reconstruct a trace from robust-mode spill files (the paper's future

@@ -291,6 +291,9 @@ std::size_t Mailbox::pending() const {
 }
 
 void Mailbox::interrupt() {
+  // Pass through mu_ first: a receiver tests the abort flag under mu_, so the
+  // notify cannot fall between its test and its wait and be lost.
+  { std::lock_guard lk(mu_); }
   cv_.notify_all();
   if (sched_ != nullptr) sched_->notify_all(wq_);
 }

@@ -80,6 +80,7 @@ void World::abort_from(int code) {
   }
   for (auto& mb : mailboxes_) mb->interrupt();
   cpu_.shutdown();
+  { std::lock_guard lk(barrier_mu_); }  // see Mailbox::interrupt
   barrier_cv_.notify_all();
   if (sched_ != nullptr) sched_->wake_all();
 }

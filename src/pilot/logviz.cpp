@@ -1,5 +1,6 @@
 #include "pilot/logviz.hpp"
 
+#include <cstring>
 #include <filesystem>
 
 #include "pilot/pi_colors.hpp"
@@ -11,11 +12,61 @@ std::string state_popup(const CallSite& site, const Process& proc,
                         const Bundle* bundle) {
   // Starts with literal text (the paper's Jumpshot workaround) and stays
   // within MPE's 40-byte cap: "L<line> <proc> i<index> [B<bundle>]".
-  std::string out = util::strprintf("L%d %s i%d", site.line, proc.name.c_str(),
-                                    proc.index);
-  if (bundle != nullptr) out += " " + bundle->name;
+  std::string out = "L";
+  util::append_int(out, site.line);
+  out += ' ';
+  out += proc.name;
+  out += " i";
+  util::append_int(out, proc.index);
+  if (bundle != nullptr) {
+    out += ' ';
+    out += bundle->name;
+  }
   return out;
 }
+
+namespace {
+
+template <typename T>
+T load(const void* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// The first element of a write, as printf renders its type ("-" when there
+// is none).
+void append_first_value(std::string& out, std::size_t count, ValueType type,
+                        const void* p) {
+  if (count == 0 || p == nullptr) {
+    out += '-';
+    return;
+  }
+  switch (type) {
+    case ValueType::kChar: return util::append_int(out, static_cast<int>(load<char>(p)));
+    case ValueType::kInt: return util::append_int(out, load<int>(p));
+    case ValueType::kUnsigned: return util::append_int(out, load<unsigned>(p));
+    case ValueType::kLong: return util::append_int(out, load<long>(p));
+    case ValueType::kUnsignedLong: return util::append_int(out, load<unsigned long>(p));
+    case ValueType::kLongLong: return util::append_int(out, load<long long>(p));
+    case ValueType::kUnsignedLongLong:
+      return util::append_int(out, load<unsigned long long>(p));
+    case ValueType::kFloat:
+      return util::append_general(out, static_cast<double>(load<float>(p)), 6);
+    case ValueType::kDouble: return util::append_general(out, load<double>(p), 6);
+    case ValueType::kBytes: {
+      constexpr char kHex[] = "0123456789abcdef";
+      const auto v = load<unsigned char>(p);
+      out += "0x";
+      out += kHex[v >> 4];
+      out += kHex[v & 0xF];
+      return;
+    }
+  }
+  out += '?';
+}
+
+}  // namespace
 
 LogViz::LogViz(mpisim::World& world, mpe::Logger::Options opts)
     : logger_(world, std::move(opts)) {
@@ -83,29 +134,43 @@ void LogViz::msg_arrive(mpisim::Comm& comm, double at_time, const Channel& chan)
 }
 
 void LogViz::write_info(mpisim::Comm& comm, const Channel& chan, std::size_t count,
-                        const std::string& first_value) {
-  logger_.log_event(comm, ev_write_info_,
-                    util::strprintf("Chan: %s n=%zu v0=%s", chan.name.c_str(), count,
-                                    first_value.c_str()));
+                        ValueType type, const void* data) {
+  std::string text = "Chan: ";
+  text += chan.name;
+  text += " n=";
+  util::append_int(text, count);
+  text += " v0=";
+  append_first_value(text, count, type, data);
+  logger_.log_event(comm, ev_write_info_, text);
 }
 
 void LogViz::utility(mpisim::Comm& comm, const char* func, const CallSite& site,
-                     const std::string& result) {
+                     double result, int prec) {
   // Compact: MPE caps popup text at 40 bytes, and function names like
   // PI_ChannelHasData are long already.
-  logger_.log_event(comm, ev_utility_,
-                    util::strprintf("%s L%d ret=%s", func, site.line, result.c_str()));
+  std::string text = func;
+  text += " L";
+  util::append_int(text, site.line);
+  text += " ret=";
+  util::append_fixed(text, result, prec);
+  logger_.log_event(comm, ev_utility_, text);
 }
 
 void LogViz::user_log(mpisim::Comm& comm, const CallSite& site,
                       const std::string& text) {
-  logger_.log_event(comm, ev_user_log_,
-                    util::strprintf("L%d %s", site.line, text.c_str()));
+  std::string popup = "L";
+  util::append_int(popup, site.line);
+  popup += ' ';
+  popup += text;
+  logger_.log_event(comm, ev_user_log_, popup);
 }
 
 void LogViz::wait_on(mpisim::Comm& comm, const Channel& chan) {
-  logger_.log_event(comm, ev_wait_,
-                    util::strprintf("C%d<-R%d", chan.id, chan.from->rank));
+  std::string text = "C";
+  util::append_int(text, chan.id);
+  text += "<-R";
+  util::append_int(text, chan.from->rank);
+  logger_.log_event(comm, ev_wait_, text);
 }
 
 void LogViz::configure_phase(mpisim::Comm& comm, double t_begin, double t_end) {
@@ -114,8 +179,10 @@ void LogViz::configure_phase(mpisim::Comm& comm, double t_begin, double t_end) {
 }
 
 void LogViz::begin_compute(mpisim::Comm& comm, const Process& proc) {
-  logger_.log_event(comm, compute_.start,
-                    util::strprintf("%s i%d", proc.name.c_str(), proc.index));
+  std::string text = proc.name;
+  text += " i";
+  util::append_int(text, proc.index);
+  logger_.log_event(comm, compute_.start, text);
 }
 
 void LogViz::end_compute(mpisim::Comm& comm) {

@@ -23,6 +23,7 @@
 
 #include "mpe/mpe.hpp"
 #include "pilot/entities.hpp"
+#include "pilot/format.hpp"
 
 namespace pilot {
 
@@ -53,12 +54,14 @@ public:
   // --- milestone bubbles -------------------------------------------------------
   /// Message-arrival bubble inside PI_Read (at the observed arrival time).
   void msg_arrive(mpisim::Comm& comm, double at_time, const Channel& chan);
-  /// Write-side info bubble: element count and first value rendering.
+  /// Write-side info bubble: element count and the first of the `count`
+  /// values of `type` at `data`, rendered as printf renders that type.
   void write_info(mpisim::Comm& comm, const Channel& chan, std::size_t count,
-                  const std::string& first_value);
-  /// Utility-function bubble with its return value.
+                  ValueType type, const void* data);
+  /// Utility-function bubble with its return value, rendered as
+  /// printf("%.*f", prec, result).
   void utility(mpisim::Comm& comm, const char* func, const CallSite& site,
-               const std::string& result);
+               double result, int prec = 0);
   /// PI_Log free-text bubble.
   void user_log(mpisim::Comm& comm, const CallSite& site, const std::string& text);
   /// "Wait" bubble logged at the entry of a blocking read-family call, one

@@ -294,10 +294,9 @@ void Runtime::state_begin(const CallSite& site, int handle) {
     fail(site, util::strprintf("PI_StateBegin: invalid state handle %d", handle));
   Process* me = current_process(site, "PI_StateBegin");
   mpisim::Comm& c = comm(site, "PI_StateBegin");
-  svc_call_line(site, util::strprintf(
-                          "PI_StateBegin %s",
-                          user_state_defs_[static_cast<std::size_t>(handle)]
-                              .first.c_str()));
+  if (traces_calls())
+    svc_call_line(site, "PI_StateBegin " +
+                            user_state_defs_[static_cast<std::size_t>(handle)].first);
   if (logviz_) logviz_->begin_user_state(c, handle, site, *me);
 }
 
@@ -307,10 +306,9 @@ void Runtime::state_end(const CallSite& site, int handle) {
     fail(site, util::strprintf("PI_StateEnd: invalid state handle %d", handle));
   current_process(site, "PI_StateEnd");
   mpisim::Comm& c = comm(site, "PI_StateEnd");
-  svc_call_line(site, util::strprintf(
-                          "PI_StateEnd %s",
-                          user_state_defs_[static_cast<std::size_t>(handle)]
-                              .first.c_str()));
+  if (traces_calls())
+    svc_call_line(site, "PI_StateEnd " +
+                            user_state_defs_[static_cast<std::size_t>(handle)].first);
   if (logviz_) logviz_->end_user_state(c, handle);
 }
 
@@ -556,7 +554,8 @@ void Runtime::stop_main(const CallSite& site, int status) {
   mpisim::Comm& c = comm(site, "PI_StopMain");
 
   if (!world_->is_aborted()) {
-    svc_call_line(site, util::strprintf("PI_StopMain status=%d", status));
+    if (traces_calls())
+      svc_call_line(site, util::strprintf("PI_StopMain status=%d", status));
     if (logviz_) logviz_->end_compute(c);
     finalize_rank(c);
   }
@@ -597,7 +596,7 @@ double Runtime::start_time(const CallSite& site) {
   const double t = c.wtime();
   if (static_cast<std::size_t>(c.rank()) < start_times_.size())
     start_times_[static_cast<std::size_t>(c.rank())] = t;
-  if (logviz_) logviz_->utility(c, "PI_StartTime", site, util::strprintf("%.9f", t));
+  if (logviz_) logviz_->utility(c, "PI_StartTime", site, t, 9);
   svc_call_line(site, "PI_StartTime");
   return t;
 }
@@ -609,7 +608,7 @@ double Runtime::end_time(const CallSite& site) {
           ? start_times_[static_cast<std::size_t>(c.rank())]
           : 0.0;
   const double dt = c.wtime() - started;
-  if (logviz_) logviz_->utility(c, "PI_EndTime", site, util::strprintf("%.9f", dt));
+  if (logviz_) logviz_->utility(c, "PI_EndTime", site, dt, 9);
   svc_call_line(site, "PI_EndTime");
   return dt;
 }
@@ -618,7 +617,8 @@ void Runtime::log(const CallSite& site, const char* text) {
   if (text == nullptr) fail(site, "PI_Log: null text");
   mpisim::Comm& c = comm(site, "PI_Log");
   if (logviz_) logviz_->user_log(c, site, text);
-  svc_call_line(site, util::strprintf("PI_Log \"%s\"", text));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Log \"%s\"", text));
 }
 
 bool Runtime::is_logging() const {
@@ -650,7 +650,7 @@ void Runtime::compute(const CallSite& site, double seconds) {
 // --- service-event helpers ---------------------------------------------------------
 
 void Runtime::svc_call_line(const CallSite& site, const std::string& what) {
-  if (!opts_.svc_calls || service_rank_ < 0) return;
+  if (!traces_calls()) return;
   mpisim::Comm* c = mpisim::World::current();
   if (c == nullptr || c->rank() == service_rank_) return;
   const Process* proc = acting_process();

@@ -167,9 +167,13 @@ private:
   std::size_t deliver_wire(const CallSite& site, const Channel& chan,
                            const ParsedArg& arg,
                            const std::vector<std::uint8_t>& wire);
-  std::string first_value_string(const ParsedArg& arg) const;
 
   // Service-event helpers (no-ops when the service rank is absent).
+  /// True when call lines reach the service rank (-pisvc=c); callers
+  /// format a line for svc_call_line only then.
+  [[nodiscard]] bool traces_calls() const {
+    return opts_.svc_calls && service_rank_ >= 0;
+  }
   void svc_call_line(const CallSite& site, const std::string& what);
   void svc_write_event(int channel_id);
   void svc_wait(const std::vector<int>& channel_ids, const CallSite& site);

@@ -218,64 +218,6 @@ std::size_t Runtime::deliver_wire(const CallSite& site, const Channel& chan,
   return count;
 }
 
-std::string Runtime::first_value_string(const ParsedArg& arg) const {
-  if (arg.count == 0 || arg.data == nullptr) return "-";
-  const void* p = arg.data;
-  switch (arg.spec.type) {
-    case ValueType::kChar: {
-      char v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%d", static_cast<int>(v));
-    }
-    case ValueType::kInt: {
-      int v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%d", v);
-    }
-    case ValueType::kUnsigned: {
-      unsigned v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%u", v);
-    }
-    case ValueType::kLong: {
-      long v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%ld", v);
-    }
-    case ValueType::kUnsignedLong: {
-      unsigned long v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%lu", v);
-    }
-    case ValueType::kLongLong: {
-      long long v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%lld", v);
-    }
-    case ValueType::kUnsignedLongLong: {
-      unsigned long long v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%llu", v);
-    }
-    case ValueType::kFloat: {
-      float v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%.6g", static_cast<double>(v));
-    }
-    case ValueType::kDouble: {
-      double v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("%.6g", v);
-    }
-    case ValueType::kBytes: {
-      unsigned char v;
-      std::memcpy(&v, p, sizeof v);
-      return util::strprintf("0x%02x", v);
-    }
-  }
-  return "?";
-}
-
 // --- point-to-point -----------------------------------------------------------------
 
 void Runtime::write(const CallSite& site, Channel* chan, const char* fmt,
@@ -290,8 +232,9 @@ void Runtime::write(const CallSite& site, Channel* chan, const char* fmt,
                                chan->from->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Write");
 
-  svc_call_line(site, util::strprintf("PI_Write %s \"%s\"", chan->name.c_str(),
-                                      fmt ? fmt : ""));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Write %s \"%s\"", chan->name.c_str(),
+                                        fmt ? fmt : ""));
   if (logviz_) logviz_->begin_state(c, logviz_->write_, site, *me);
 
   const auto args = parse_write_args(site, fmt, ap);
@@ -302,7 +245,7 @@ void Runtime::write(const CallSite& site, Channel* chan, const char* fmt,
       note_sig(chan->write_sigs, arg.spec.signature());
     }
     if (logviz_) {
-      logviz_->write_info(c, *chan, arg.count, first_value_string(arg));
+      logviz_->write_info(c, *chan, arg.count, arg.spec.type, arg.data);
       logviz_->arrow_send(c, chan->to->rank, chan->id, wire.size());
     }
     svc_write_event(chan->id);
@@ -323,8 +266,9 @@ void Runtime::read(const CallSite& site, Channel* chan, const char* fmt,
                                chan->to->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Read");
 
-  svc_call_line(site, util::strprintf("PI_Read %s \"%s\"", chan->name.c_str(),
-                                      fmt ? fmt : ""));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Read %s \"%s\"", chan->name.c_str(),
+                                        fmt ? fmt : ""));
   if (logviz_) logviz_->begin_state(c, logviz_->read_, site, *me);
 
   const auto args = parse_read_args(site, fmt, ap);
@@ -373,15 +317,16 @@ void Runtime::broadcast(const CallSite& site, Bundle* b, const char* fmt,
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Broadcast");
 
-  svc_call_line(site, util::strprintf("PI_Broadcast %s \"%s\"", b->name.c_str(),
-                                      fmt ? fmt : ""));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Broadcast %s \"%s\"", b->name.c_str(),
+                                        fmt ? fmt : ""));
   if (logviz_) logviz_->begin_state(c, logviz_->broadcast_, site, *me, b);
 
   const auto args = parse_write_args(site, fmt, ap);
   for (const auto& arg : args) {
     const auto wire = build_wire(arg);
-    if (logviz_) logviz_->write_info(c, *b->channels.front(), arg.count,
-                                     first_value_string(arg));
+    if (logviz_)
+      logviz_->write_info(c, *b->channels.front(), arg.count, arg.spec.type, arg.data);
     for (std::size_t i = 0; i < b->channels.size(); ++i) {
       if (i > 0) arrow_spread_sleep(c, opts_.arrow_spread);
       Channel* chan = b->channels[i];
@@ -410,8 +355,9 @@ void Runtime::scatter(const CallSite& site, Bundle* b, const char* fmt,
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Scatter");
 
-  svc_call_line(site, util::strprintf("PI_Scatter %s \"%s\"", b->name.c_str(),
-                                      fmt ? fmt : ""));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Scatter %s \"%s\"", b->name.c_str(),
+                                        fmt ? fmt : ""));
   if (logviz_) logviz_->begin_state(c, logviz_->scatter_, site, *me, b);
 
   // Scatter takes a pointer per specifier: `count` elements PER RECEIVER
@@ -450,8 +396,7 @@ void Runtime::scatter(const CallSite& site, Bundle* b, const char* fmt,
         note_sig(chan->write_sigs, slice.spec.signature());
       }
       if (logviz_) {
-        if (i == 0) logviz_->write_info(c, *chan, per_receiver,
-                                        first_value_string(slice));
+        if (i == 0) logviz_->write_info(c, *chan, per_receiver, spec.type, slice.data);
         logviz_->arrow_send(c, chan->to->rank, chan->id, wire.size());
       }
       svc_write_event(chan->id);
@@ -474,8 +419,9 @@ void Runtime::gather(const CallSite& site, Bundle* b, const char* fmt,
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Gather");
 
-  svc_call_line(site, util::strprintf("PI_Gather %s \"%s\"", b->name.c_str(),
-                                      fmt ? fmt : ""));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Gather %s \"%s\"", b->name.c_str(),
+                                        fmt ? fmt : ""));
   if (logviz_) logviz_->begin_state(c, logviz_->gather_, site, *me, b);
 
   // Gather fills a pointer per specifier with `count` elements PER SENDER
@@ -547,8 +493,9 @@ void Runtime::reduce(const CallSite& site, Bundle* b, PI_REDOP op, const char* f
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Reduce");
 
-  svc_call_line(site, util::strprintf("PI_Reduce %s \"%s\"", b->name.c_str(),
-                                      fmt ? fmt : ""));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_Reduce %s \"%s\"", b->name.c_str(),
+                                        fmt ? fmt : ""));
   if (logviz_) logviz_->begin_state(c, logviz_->reduce_, site, *me, b);
 
   std::vector<FormatSpec> specs;
@@ -665,7 +612,7 @@ int Runtime::select(const CallSite& site, Bundle* b) {
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Select");
 
-  svc_call_line(site, "PI_Select " + b->name);
+  if (traces_calls()) svc_call_line(site, "PI_Select " + b->name);
   if (logviz_) logviz_->begin_state(c, logviz_->select_, site, *me, b);
 
   std::vector<int> ids;
@@ -735,9 +682,10 @@ int Runtime::try_select(const CallSite& site, Bundle* b) {
     }
     if (replay_) replay_->record_try_select(c.rank(), b->id, ready);
   }
-  svc_call_line(site, util::strprintf("PI_TrySelect %s -> %d", b->name.c_str(), ready));
-  if (logviz_)
-    logviz_->utility(c, "PI_TrySelect", site, util::strprintf("%d", ready));
+  if (traces_calls())
+    svc_call_line(site,
+                  util::strprintf("PI_TrySelect %s -> %d", b->name.c_str(), ready));
+  if (logviz_) logviz_->utility(c, "PI_TrySelect", site, ready);
   return ready;
 }
 
@@ -758,10 +706,10 @@ int Runtime::channel_has_data(const CallSite& site, Channel* chan) {
     has = c.iprobe(chan->from->rank, chan->id) ? 1 : 0;
     if (replay_) replay_->record_has_data(c.rank(), chan->id, has);
   }
-  svc_call_line(site, util::strprintf("PI_ChannelHasData %s -> %d",
-                                      chan->name.c_str(), has));
-  if (logviz_)
-    logviz_->utility(c, "PI_ChannelHasData", site, util::strprintf("%d", has));
+  if (traces_calls())
+    svc_call_line(site, util::strprintf("PI_ChannelHasData %s -> %d",
+                                        chan->name.c_str(), has));
+  if (logviz_) logviz_->utility(c, "PI_ChannelHasData", site, has);
   return has;
 }
 

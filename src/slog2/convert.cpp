@@ -174,19 +174,25 @@ void Pairer::finish(ConvertStats& stats, Frame& out,
 
 namespace {
 
-void add_occupancy(Preview& pv, double node_t0, double node_t1, std::int32_t cat,
-                   double s, double e) {
-  if (pv.nbuckets <= 0 || node_t1 <= node_t0) return;
-  auto& buckets = pv.state_occupancy[cat];
-  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(pv.nbuckets), 0.0F);
-  const double width = (node_t1 - node_t0) / pv.nbuckets;
+// A category's bucket row in a node's preview, created zeroed on first use.
+template <typename T>
+std::vector<T>& bucket_row(std::map<std::int32_t, std::vector<T>>& rows,
+                           std::int32_t cat, int nbuckets) {
+  auto& buckets = rows[cat];
+  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(nbuckets), T{});
+  return buckets;
+}
+
+void add_occupancy(std::vector<float>& buckets, int nbuckets, double node_t0,
+                   double node_t1, double s, double e) {
+  const double width = (node_t1 - node_t0) / nbuckets;
   const double lo = std::max(s, node_t0);
   const double hi = std::min(e, node_t1);
   if (hi <= lo) return;
   auto first = static_cast<int>((lo - node_t0) / width);
   auto last = static_cast<int>((hi - node_t0) / width);
-  first = std::clamp(first, 0, pv.nbuckets - 1);
-  last = std::clamp(last, 0, pv.nbuckets - 1);
+  first = std::clamp(first, 0, nbuckets - 1);
+  last = std::clamp(last, 0, nbuckets - 1);
   for (int i = first; i <= last; ++i) {
     const double b0 = node_t0 + i * width;
     const double b1 = b0 + width;
@@ -196,16 +202,12 @@ void add_occupancy(Preview& pv, double node_t0, double node_t1, std::int32_t cat
   }
 }
 
-void add_event_count(Preview& pv, double node_t0, double node_t1, std::int32_t cat,
-                     double t) {
-  if (pv.nbuckets <= 0) return;
-  auto& buckets = pv.event_counts[cat];
-  if (buckets.empty()) buckets.assign(static_cast<std::size_t>(pv.nbuckets), 0);
+void add_event_count(std::vector<std::uint32_t>& buckets, int nbuckets, double node_t0,
+                     double node_t1, double t) {
   int idx = 0;
   if (node_t1 > node_t0)
-    idx = std::clamp(static_cast<int>((t - node_t0) / (node_t1 - node_t0) *
-                                      pv.nbuckets),
-                     0, pv.nbuckets - 1);
+    idx = std::clamp(static_cast<int>((t - node_t0) / (node_t1 - node_t0) * nbuckets),
+                     0, nbuckets - 1);
   buckets[static_cast<std::size_t>(idx)]++;
 }
 
@@ -352,7 +354,9 @@ namespace detail {
 // ancestor, so any node's preview summarizes its whole subtree. In preorder
 // the ancestors of a frame at depth d are the last frames seen at depths
 // 0..d-1, so one pass adds each frame's drawables to every node on that
-// path, and each node's float sums run over its subtree in preorder.
+// path, and each node's float sums run over its subtree in preorder. A
+// frame's drawables come in runs of one category, so each node reuses the
+// last category's bucket row instead of a map lookup per drawable.
 void fill_previews(std::vector<Frame>& frames, int nbuckets) {
   std::vector<Frame*> path;
   for (Frame& f : frames) {
@@ -360,12 +364,30 @@ void fill_previews(std::vector<Frame>& frames, int nbuckets) {
     path.resize(static_cast<std::size_t>(f.depth));
     path.push_back(&f);
     for (Frame* node : path) {
-      for (const auto& s : f.states)
-        add_occupancy(node->preview, node->t0, node->t1, s.category_id,
-                      s.start_time, s.end_time);
-      for (const auto& e : f.events)
-        add_event_count(node->preview, node->t0, node->t1, e.category_id, e.time);
-      node->preview.arrow_count += static_cast<std::uint32_t>(f.arrows.size());
+      Preview& pv = node->preview;
+      if (nbuckets > 0 && node->t1 > node->t0) {
+        std::vector<float>* row = nullptr;
+        std::int32_t row_cat = 0;
+        for (const auto& s : f.states) {
+          if (row == nullptr || s.category_id != row_cat) {
+            row_cat = s.category_id;
+            row = &bucket_row(pv.state_occupancy, row_cat, nbuckets);
+          }
+          add_occupancy(*row, nbuckets, node->t0, node->t1, s.start_time, s.end_time);
+        }
+      }
+      if (nbuckets > 0) {
+        std::vector<std::uint32_t>* row = nullptr;
+        std::int32_t row_cat = 0;
+        for (const auto& e : f.events) {
+          if (row == nullptr || e.category_id != row_cat) {
+            row_cat = e.category_id;
+            row = &bucket_row(pv.event_counts, row_cat, nbuckets);
+          }
+          add_event_count(*row, nbuckets, node->t0, node->t1, e.time);
+        }
+      }
+      pv.arrow_count += static_cast<std::uint32_t>(f.arrows.size());
     }
   }
 }

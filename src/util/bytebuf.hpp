@@ -54,6 +54,7 @@ public:
           static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -61,8 +62,10 @@ public:
 private:
   template <typename T>
   void put_le(T v) {
+    std::uint8_t b[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i)
-      buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+      b[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
+    raw(b, sizeof b);
   }
 
   std::vector<std::uint8_t> buf_;

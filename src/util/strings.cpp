@@ -104,6 +104,17 @@ void append_fixed(std::string& out, double v, int prec) {
   }
 }
 
+void append_general(std::string& out, double v, int prec) {
+  char buf[64];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec);
+  if (r.ec == std::errc{}) {
+    out.append(buf, r.ptr);
+  } else {
+    out += strprintf("%.*g", prec, v);
+  }
+}
+
 std::string truncate_bytes(std::string_view s, std::size_t max_bytes) {
   if (s.size() <= max_bytes) return std::string(s);
   return std::string(s.substr(0, max_bytes));

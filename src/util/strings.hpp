@@ -1,6 +1,7 @@
 // String helpers shared across the stack.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +32,18 @@ std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Append `v` exactly as printf("%.*f", prec, v) writes it (std::to_chars
 /// fixed form is specified to give printf's digits), without a format pass.
 void append_fixed(std::string& out, double v, int prec);
+
+/// Append `v` exactly as printf("%.*g", prec, v) writes it (std::to_chars
+/// with a precision is specified to give printf's form).
+void append_general(std::string& out, double v, int prec);
+
+/// Append the decimal digits of an integer, exactly as printf's %d / %u /
+/// %ld / %llu ... write a value of its type.
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 /// Truncate a UTF-8-agnostic byte string to at most `max_bytes` bytes (the
 /// MPE popup-text limit the paper mentions is 40 bytes).

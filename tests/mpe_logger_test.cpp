@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/fs.hpp"
 
@@ -75,6 +79,117 @@ TEST(MpeLog, UndefinedEventIdRejected) {
     return 0;
   }),
                util::UsageError);
+}
+
+// Every record is checked where it enters the logger, on every rank alike:
+// a bad record throws check_record's named error and is not logged, so the
+// finished file always reads back. (Rank 0's records once went straight to
+// the file unchecked, while the gather checked only ranks >= 1.)
+TEST(MpeLog, BadPartnerRejectedOnEveryRank) {
+  util::TempDir dir;
+  World w(cfg(2));
+  mpe::Logger log(w, fast_opts());
+  std::array<std::string, 2> errors;
+  w.run([&](Comm& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    log.log_send(c, 1 - c.rank(), 5, 8);
+    try {
+      log.log_send(c, 2, 5, 8);  // partner == nprocs
+    } catch (const util::IoError& e) {
+      errors[r] = e.what();
+    }
+    EXPECT_THROW(log.log_receive(c, -1, 5, 8), util::IoError);
+    log.finish_log(c, dir.file("p.clog2"));
+    return 0;
+  });
+  for (const auto& e : errors)
+    EXPECT_EQ(e, "clog2: record 1: partner 2 outside [0, 2)");
+  const auto file = clog2::read_file(dir.file("p.clog2"));
+  EXPECT_EQ(file.count<clog2::MsgRec>(), 2u);
+}
+
+TEST(MpeLog, NonFiniteTimeRejectedOnEveryRank) {
+  util::TempDir dir;
+  World w(cfg(2));
+  mpe::Logger log(w, fast_opts());
+  const int id = log.get_event_number();
+  log.define_event(id, "e", "yellow");
+  std::array<std::string, 2> errors;
+  w.run([&](Comm& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    log.log_event(c, id, "ok");
+    try {
+      log.log_event_at(c, std::numeric_limits<double>::quiet_NaN(), id);
+    } catch (const util::IoError& e) {
+      errors[r] = e.what();
+    }
+    EXPECT_THROW(log.log_receive_at(c, std::numeric_limits<double>::infinity(),
+                                    1 - c.rank(), 5, 8),
+                 util::IoError);
+    log.finish_log(c, dir.file("t.clog2"));
+    return 0;
+  });
+  for (const auto& e : errors) EXPECT_EQ(e, "clog2: record 1: timestamp not finite");
+  EXPECT_EQ(log.buffered(0), 1u);
+  EXPECT_EQ(log.buffered(1), 1u);
+  const auto file = clog2::read_file(dir.file("t.clog2"));
+  EXPECT_EQ(file.count<clog2::EventRec>(), 2u);
+  EXPECT_EQ(file.count<clog2::MsgRec>(), 0u);
+}
+
+// Definitions may arrive while ranks log (PI_DefineState mid-run): the
+// event-id check reads a table published without a lock. A definer thread
+// grows the table well past its initial size while every rank logs each
+// id as soon as it is published; TSan runs this suite.
+TEST(MpeConcurrentDefs, DefineWhileLogging) {
+  World w(cfg(4));
+  mpe::Logger log(w, fast_opts());
+  const int first = log.get_event_number();
+  log.define_event(first, "first", "yellow");
+  constexpr int kDefs = 300;
+  std::atomic<int> latest{first};
+  std::thread definer([&] {
+    for (int i = 0; i < kDefs; ++i) {
+      const int id = log.get_event_number();
+      std::string name = "e";
+      name += std::to_string(i);
+      log.define_event(id, std::move(name), "red");
+      latest.store(id, std::memory_order_release);
+    }
+  });
+  std::atomic<int> logged{0};
+  w.run([&](Comm& c) {
+    int last = 0;
+    while (last < first + kDefs) {
+      const int id = latest.load(std::memory_order_acquire);
+      if (id == last) {
+        std::this_thread::yield();
+        continue;
+      }
+      log.log_event(c, id);
+      logged.fetch_add(1, std::memory_order_relaxed);
+      last = id;
+    }
+    return 0;
+  });
+  definer.join();
+  EXPECT_GT(logged.load(), 0);
+}
+
+TEST(MpeLog, AllocatedButUndefinedIdRejected) {
+  World w(cfg(1));
+  mpe::Logger log(w, fast_opts());
+  int id = 0;
+  for (int i = 0; i < 100; ++i) id = log.get_event_number();
+  log.define_event(id, "late", "yellow");  // past the initial id table
+  w.run([&](Comm& c) {
+    log.log_event(c, id);
+    EXPECT_THROW(log.log_event(c, id - 1), util::UsageError);
+    EXPECT_THROW(log.log_event(c, id + 1), util::UsageError);
+    EXPECT_THROW(log.log_event(c, 0), util::UsageError);
+    return 0;
+  });
+  EXPECT_EQ(log.buffered(0), 1u);
 }
 
 TEST(MpeLog, TextTruncatedTo40Bytes) {

@@ -1,12 +1,14 @@
 // Determinism guarantees of the scale-out pipeline: the parallel converter
-// must emit byte-identical .slog2 at any thread count, and the k-way heap
-// merge must reproduce the seed's concat+stable_sort order exactly —
-// including on a million-event pilot-tracegen trace (suite PipelineLarge,
-// kept out of the sanitizer legs by name).
+// must emit byte-identical .slog2 at any thread count, and the logger's
+// encoded k-way merge (mpe::merge_streams) must reproduce, byte for byte,
+// both the record-level merge in merge_oracle.hpp and the seed's
+// concat+stable_sort order — including on a million-event pilot-tracegen
+// trace (suite PipelineLarge, kept out of the sanitizer legs by name).
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "merge_oracle.hpp"
 #include "mpe/mpe.hpp"
 #include "slog2/slog2.hpp"
 #include "tracegen/tracegen.hpp"
@@ -46,7 +48,7 @@ std::vector<clog2::Record> sort_path(
                std::make_move_iterator(s.end()));
   std::stable_sort(out.begin(), out.end(),
                    [](const clog2::Record& a, const clog2::Record& b) {
-                     return mpe::record_time(a) < mpe::record_time(b);
+                     return merge_oracle::record_time(a) < merge_oracle::record_time(b);
                    });
   return out;
 }
@@ -63,12 +65,11 @@ std::vector<std::vector<clog2::Record>> split_by_rank(const clog2::File& f) {
   return streams;
 }
 
-std::vector<std::uint8_t> records_bytes(std::vector<clog2::Record> records,
-                                        std::int32_t nranks) {
-  clog2::File f;
-  f.nranks = nranks;
-  f.records = std::move(records);
-  return clog2::serialize(f);
+/// The encoded merge equals the record-level oracle and the sort path.
+void expect_merges_agree(const std::vector<std::vector<clog2::Record>>& streams) {
+  const auto encoded = merge_oracle::merge_encoded(streams);
+  EXPECT_EQ(encoded, merge_oracle::encode_records(merge_oracle::merge_timed(streams)));
+  EXPECT_EQ(encoded, merge_oracle::encode_records(sort_path(streams)));
 }
 
 TEST(PipelineScale, FixtureThreadsByteIdentical) {
@@ -116,7 +117,7 @@ TEST(PipelineScale, TracegenOutputIsTimeOrderedAndClean) {
   ASSERT_EQ(trace.nranks, 4);
   double last = 0;
   for (const auto& rec : trace.records) {
-    const double t = mpe::record_time(rec);
+    const double t = merge_oracle::record_time(rec);
     EXPECT_GE(t, last);
     last = t;
   }
@@ -128,38 +129,47 @@ TEST(PipelineScale, TracegenOutputIsTimeOrderedAndClean) {
 }
 
 TEST(PipelineScale, KwayMergeMatchesSortPathOnFixture) {
-  const auto trace = fixture_trace();
-  auto streams = split_by_rank(trace);
-  const auto expected = records_bytes(sort_path(streams), trace.nranks);
-  EXPECT_EQ(records_bytes(mpe::merge_timed(std::move(streams)), trace.nranks),
-            expected);
+  expect_merges_agree(split_by_rank(fixture_trace()));
 }
 
 TEST(PipelineScale, KwayMergeMatchesSortPathOnTracegen) {
   tracegen::Options opts;
   opts.seed = 21;
   opts.nranks = 8;
-  const auto trace = tracegen::generate(opts);
-  auto streams = split_by_rank(trace);
-  const auto expected = records_bytes(sort_path(streams), trace.nranks);
-  EXPECT_EQ(records_bytes(mpe::merge_timed(std::move(streams)), trace.nranks),
-            expected);
+  expect_merges_agree(split_by_rank(tracegen::generate(opts)));
 }
 
 TEST(PipelineScale, KwayMergeRepairsLocalInversion) {
   // A stream with an out-of-order record (as a degenerate clock fit can
-  // produce) must still come out globally sorted.
-  std::vector<std::vector<clog2::Record>> streams(2);
-  streams[0] = {clog2::EventRec{1.0, 0, 7, ""}, clog2::EventRec{0.5, 0, 7, ""},
-                clog2::EventRec{2.0, 0, 7, ""}};
-  streams[1] = {clog2::EventRec{0.7, 1, 7, ""}, clog2::EventRec{1.5, 1, 7, ""}};
-  const auto merged = mpe::merge_timed(std::move(streams));
-  ASSERT_EQ(merged.size(), 5u);
+  // produce) must still come out globally sorted, ties across streams in
+  // stream order.
+  std::vector<std::vector<clog2::Record>> streams(3);
+  streams[0] = {clog2::EventRec{1.0, 0, 7, "a"}, clog2::EventRec{0.5, 0, 7, ""},
+                clog2::MsgRec{2.0, 0, clog2::MsgRec::Kind::kSend, 1, 3, 8}};
+  streams[1] = {clog2::EventRec{0.7, 1, 7, "popup"}, clog2::EventRec{1.5, 1, 7, ""}};
+  streams[2] = {clog2::EventRec{0.5, 2, 7, ""}, clog2::EventRec{0.5, 2, 8, "tie"},
+                clog2::MsgRec{1.0, 2, clog2::MsgRec::Kind::kRecv, 0, 3, 8}};
+  expect_merges_agree(streams);
+  util::ByteWriter w;
+  clog2::append_header(w, 3, "", 8);
+  const auto merged = merge_oracle::merge_encoded(streams);
+  w.raw(merged.data(), merged.size());
+  clog2::append_end(w);
+  const clog2::File back = clog2::parse(w.bytes());
+  ASSERT_EQ(back.records.size(), 8u);
   double last = 0;
-  for (const auto& rec : merged) {
-    EXPECT_GE(mpe::record_time(rec), last);
-    last = mpe::record_time(rec);
+  for (const auto& rec : back.records) {
+    EXPECT_GE(merge_oracle::record_time(rec), last);
+    last = merge_oracle::record_time(rec);
   }
+}
+
+TEST(PipelineScale, KwayMergeSkipsEmptyStreams) {
+  std::vector<std::vector<clog2::Record>> streams(4);
+  streams[1] = {clog2::EventRec{0.25, 1, 7, "x"}};
+  streams[3] = {clog2::EventRec{0.25, 3, 7, "y"}, clog2::EventRec{0.5, 3, 7, ""}};
+  expect_merges_agree(streams);
+  expect_merges_agree({});
 }
 
 // The headline acceptance check: a 10^6-event synthetic trace converts

@@ -30,7 +30,8 @@ cmake --preset sanitize-thread
 cmake --build --preset sanitize-thread -j "$(nproc)" \
   --target pilot_replay_test mpisim_test fault_test fault_chaos_test \
   pipeline_scale_test pilot_tasks_scale_test tracediff_localize_test \
-  traced_test slog2_v2_roundtrip_test tracedigest_test query_parallel_test
+  traced_test slog2_v2_roundtrip_test tracedigest_test query_parallel_test \
+  mpe_test
 # 'Mpisim' also picks up the MpisimTasks fiber-substrate suite, and
 # TasksSubstrate runs the threads-vs-tasks comparison under TSan (the fiber
 # side is annotated via __tsan_*_fiber). The thousand-rank TasksScale suite
@@ -51,9 +52,12 @@ cmake --build --preset sanitize-thread -j "$(nproc)" \
 # 'FrameCacheConcurrency' hammers the process-wide decode cache from
 # concurrent sessions; the million-event QueryParallelScale sibling stays
 # out by name like the other heavy suites.
+# 'MpeConcurrentDefs' defines events from one thread while every rank logs
+# them: mpe::Logger checks event ids against a table published without a
+# lock.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --preset sanitize-thread -j "$(nproc)" \
-  -R 'Replay|Prl|CrossCheck|Mpisim|Fault|ChaosMatrix|PipelineScale\.|TasksSubstrate\.|TraceDiffLocalize\.|Traced\.|V2Codec|V2Differential|V2Online|TraceDigest|QueryParallel\.|FrameCacheConcurrency' "$@"
+  -R 'Replay|Prl|CrossCheck|Mpisim|Fault|ChaosMatrix|PipelineScale\.|TasksSubstrate\.|TraceDiffLocalize\.|Traced\.|V2Codec|V2Differential|V2Online|TraceDigest|QueryParallel\.|FrameCacheConcurrency|MpeConcurrentDefs' "$@"
 
 # ASan leg: every reader of the on-disk formats (the CLOG-2/SLOG-2 parsers,
 # the lazy Navigator, the printers' stream_text, the v2 codec, and
@@ -79,11 +83,17 @@ TSAN_OPTIONS="halt_on_error=1" \
 # cases and whole traces at every --threads value, and hold the conversion
 # tail's in-place tree build and sorted Equal-Drawables scan to their
 # serial oracle (tests/convert_oracle.hpp) on the same kinds of input.
+# 'Mpe|ClockFit|RobustLog' and 'MpeGolden' run the MPE logger, which keeps
+# each rank's records as CLOG-2 wire bytes and patches the clock-corrected
+# timestamps inside those byte buffers: the encoded gather, merge, write,
+# spill and salvage, with the merge also held to its record-level oracle
+# (tests/merge_oracle.hpp) in 'PipelineScale\.'.
 cmake --preset sanitize-address
 cmake --build --preset sanitize-address -j "$(nproc)" \
   --target fault_fuzz_test slog2_test clog2_test slog2_v2_roundtrip_test \
   tools_test query_core_test jumpshot_test traced_test analyze_test \
-  tracediff_test pipeline_scale_test
+  tracediff_test pipeline_scale_test mpe_test pilot_robust_log_test \
+  mpe_golden_test
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
   ctest --preset sanitize-address -j "$(nproc)" \
-  -R 'FuzzParsers|FuzzTools|FuzzSalvage|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)|Convert\.|PipelineScale\.' "$@"
+  -R 'FuzzParsers|FuzzTools|FuzzSalvage|Navigator|Adversarial|Clog2|Slog2|V2Codec|V2Differential|V2Online|Tools\.|Render|Traced\.|TraceCheck(App)?\.|TraceDiff\.|Query(Trace|Clocks|Rollup)|Convert\.|PipelineScale\.|Mpe|ClockFit|RobustLog|MpeGolden' "$@"
