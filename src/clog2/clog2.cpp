@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 
 #include "util/fs.hpp"
 #include "util/mmapio.hpp"
@@ -74,6 +75,16 @@ void append_record(util::ByteWriter& w, const Record& rec) {
       rec);
 }
 
+// Both timed kinds store their f64 timestamp right after the kind byte.
+double record_time(const std::uint8_t* rec) { return util::ByteReader(rec + 1, 8).f64(); }
+
+void set_record_time(std::uint8_t* rec, double t) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &t, sizeof bits);
+  for (std::size_t i = 0; i < 8; ++i)
+    rec[1 + i] = static_cast<std::uint8_t>(bits >> (8 * i));
+}
+
 void append_header(util::ByteWriter& w, std::int32_t nranks, std::string_view comment,
                    std::uint64_t nrecords, std::uint32_t version) {
   w.raw(kMagic.data(), kMagic.size());
@@ -86,30 +97,18 @@ void append_header(util::ByteWriter& w, std::int32_t nranks, std::string_view co
 void append_end(util::ByteWriter& w) { kind(w, RecordKind::kEndLog); }
 
 std::size_t timed_record_size(const std::uint8_t* p, std::size_t n) {
-  // kind + f64 + i32 rank + i32 id + u32 text length, then the text.
-  constexpr std::size_t kEventFixed = 21;
-  constexpr std::size_t kMsgBytes = 26;   // kind + f64 + i32 + u8 + 3 x 32-bit
-  constexpr std::size_t kSyncBytes = 21;  // kind + i32 + 2 x f64
-  std::size_t size = 0;
-  if (n > 0) {
-    switch (static_cast<RecordKind>(p[0])) {
-      case RecordKind::kEvent:
-        if (n >= kEventFixed) {
-          util::ByteReader len(p + kEventFixed - 4, 4);
-          size = kEventFixed + len.u32();
-        } else {
-          size = kEventFixed;
-        }
-        break;
-      case RecordKind::kMsg: size = kMsgBytes; break;
-      case RecordKind::kSync: size = kSyncBytes; break;
-      default:
-        throw util::IoError(util::strprintf("clog2: record kind %u is not a timed record",
-                                            static_cast<unsigned>(p[0])));
-    }
+  util::ByteReader r(p, n);
+  const auto k = static_cast<RecordKind>(r.u8());
+  if (k == RecordKind::kEvent) {
+    r.skip(16);  // time, rank, event id
+    r.skip(r.u32());
+  } else if (k == RecordKind::kMsg || k == RecordKind::kSync) {
+    r.skip(k == RecordKind::kMsg ? 25 : 20);
+  } else {
+    throw util::IoError(util::strprintf("clog2: record kind %u is not a timed record",
+                                        static_cast<unsigned>(k)));
   }
-  if (n == 0 || size > n) throw util::IoError("clog2: truncated record");
-  return size;
+  return r.pos();
 }
 
 namespace {

@@ -154,13 +154,15 @@ enum class RecordKind : std::uint8_t {
   kEndLog = 255,
 };
 
-/// Offset of the f64 timestamp inside an Event or Msg record.
-inline constexpr std::size_t kTimestampOffset = 1;
-
 /// Bytes of the Event, Msg or Sync record starting at `p`, with `n` bytes
 /// readable, read from its kind byte and text length alone. Throws
 /// util::IoError on any other kind or a record running past `n`.
 std::size_t timed_record_size(const std::uint8_t* p, std::size_t n);
+
+/// Read / overwrite the timestamp of the Event or Msg record starting at
+/// `rec`, in place.
+double record_time(const std::uint8_t* rec);
+void set_record_time(std::uint8_t* rec, double t);
 
 void append_header(util::ByteWriter& w, std::int32_t nranks,
                    std::string_view comment, std::uint64_t nrecords,

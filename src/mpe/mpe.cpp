@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "util/color.hpp"
@@ -25,23 +24,6 @@ int logged_rank(const clog2::Record& rec) {
   return -1;
 }
 
-// The little-endian f64 timestamp of the wire record starting at `rec`.
-double load_time(const std::uint8_t* rec) {
-  const std::uint8_t* p = rec + clog2::kTimestampOffset;
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < 8; ++i) bits |= std::uint64_t{p[i]} << (8 * i);
-  double t;
-  std::memcpy(&t, &bits, sizeof t);
-  return t;
-}
-
-void store_time(std::uint8_t* rec, double t) {
-  std::uint8_t* p = rec + clog2::kTimestampOffset;
-  std::uint64_t bits;
-  std::memcpy(&bits, &t, sizeof bits);
-  for (std::size_t i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
-}
-
 /// One rank's log on its way into a file: the located timed records and
 /// the sync samples lifted out of the stream.
 struct RankLog {
@@ -58,39 +40,36 @@ void correct(RankLog& log) {
   auto& starts = log.stream.starts;
   for (std::size_t k = 0; k < starts.size(); ++k) {
     std::uint8_t* rec = log.stream.bytes.data() + starts[k];
-    const double t = fit.apply(load_time(rec));
+    const double t = fit.apply(clog2::record_time(rec));
     if (!std::isfinite(t)) {
       starts.resize(k);
       break;
     }
-    store_time(rec, t);
+    clog2::set_record_time(rec, t);
   }
 }
 
 /// Header, `head` (definitions and constants), every log's sync samples in
 /// log order, the merged timed records and the end marker: the file
-/// finish_log and salvage write, encoded into one exactly sized buffer.
+/// finish_log and salvage write, encoded into one buffer sized up front.
 std::vector<std::uint8_t> encode_file(std::int32_t nranks, std::string_view comment,
-                                      const std::vector<clog2::Record>& head,
+                                      std::vector<clog2::Record> head,
                                       std::vector<RankLog> logs) {
-  util::ByteWriter defs;
-  for (const auto& rec : head) clog2::append_record(defs, rec);
-  util::ByteWriter syncs;
-  std::uint64_t nrecords = head.size();
+  std::size_t nrecords = 0;
   std::size_t record_bytes = 0;
   std::vector<WireStream> streams;
-  streams.reserve(logs.size());
   for (auto& log : logs) {
-    for (const auto& s : log.syncs) clog2::append_record(syncs, s);
-    nrecords += log.syncs.size() + log.stream.starts.size();
+    head.insert(head.end(), log.syncs.begin(), log.syncs.end());
+    nrecords += log.stream.starts.size();
     record_bytes += log.stream.bytes.size();
     streams.push_back(std::move(log.stream));
   }
+  util::ByteWriter head_bytes;
+  for (const auto& rec : head) clog2::append_record(head_bytes, rec);
   util::ByteWriter w;
-  w.reserve(64 + comment.size() + defs.size() + syncs.size() + record_bytes);
-  clog2::append_header(w, nranks, comment, nrecords);
-  w.raw(defs.bytes().data(), defs.size());
-  w.raw(syncs.bytes().data(), syncs.size());
+  w.reserve(64 + comment.size() + head_bytes.size() + record_bytes);
+  clog2::append_header(w, nranks, comment, head.size() + nrecords);
+  w.raw(head_bytes.bytes().data(), head_bytes.size());
   merge_streams(std::move(streams), w);
   clog2::append_end(w);
   return w.take();
@@ -99,22 +78,18 @@ std::vector<std::uint8_t> encode_file(std::int32_t nranks, std::string_view comm
 
 void merge_streams(std::vector<WireStream> streams, util::ByteWriter& out) {
   const auto time_at = [&](std::size_t s, std::size_t pos) {
-    return load_time(streams[s].bytes.data() + streams[s].starts[pos]);
+    return clog2::record_time(streams[s].bytes.data() + streams[s].starts[pos]);
   };
-  for (std::size_t s = 0; s < streams.size(); ++s) {
+  for (auto& s : streams) {
     // Local repair: a clock fit with non-positive slope (or hand-stamped
     // records) can leave this stream non-monotonic; fix it here so the heap
     // merge below only ever has to compare stream fronts.
-    auto& starts = streams[s].starts;
-    for (std::size_t i = 1; i < starts.size(); ++i)
-      if (time_at(s, i) < time_at(s, i - 1)) {
-        const std::uint8_t* base = streams[s].bytes.data();
-        std::stable_sort(starts.begin(), starts.end(),
-                         [base](std::size_t a, std::size_t b) {
-                           return load_time(base + a) < load_time(base + b);
-                         });
-        break;
-      }
+    const std::uint8_t* base = s.bytes.data();
+    const auto earlier = [base](std::size_t a, std::size_t b) {
+      return clog2::record_time(base + a) < clog2::record_time(base + b);
+    };
+    if (!std::is_sorted(s.starts.begin(), s.starts.end(), earlier))
+      std::stable_sort(s.starts.begin(), s.starts.end(), earlier);
   }
 
   // Heap of stream cursors, smallest (time, stream index) on top. The
@@ -429,14 +404,16 @@ double Logger::finish_log(mpisim::Comm& comm, const std::filesystem::path& out) 
   logs.reserve(static_cast<std::size_t>(n));
   logs.emplace_back().stream.bytes = mine.records.take();
   for (int r = 1; r < n; ++r)
-    logs.emplace_back().stream.bytes = std::move(comm.recv_any_size(r, kTagCollect).second);
+    logs.emplace_back().stream.bytes =
+        std::move(comm.recv_any_size(r, kTagCollect).second);
   std::size_t total_records = 0;
   for (auto& log : logs) {
     // One walk finds every record start; the records were checked when
     // they were logged, so only the sync samples are decoded.
     const auto& bytes = log.stream.bytes;
     for (std::size_t at = 0; at < bytes.size();) {
-      const std::size_t size = clog2::timed_record_size(bytes.data() + at, bytes.size() - at);
+      const std::size_t size =
+          clog2::timed_record_size(bytes.data() + at, bytes.size() - at);
       if (bytes[at] == static_cast<std::uint8_t>(clog2::RecordKind::kSync)) {
         util::ByteReader r(bytes.data() + at, size);
         log.syncs.push_back(std::get<clog2::SyncRec>(clog2::read_record(r)));
@@ -462,7 +439,8 @@ double Logger::finish_log(mpisim::Comm& comm, const std::filesystem::path& out) 
   head.emplace_back(clog2::ConstDef{"world_size", world_.nprocs()});
   head.emplace_back(clog2::ConstDef{"sync_rounds", opts_.sync_rounds});
   for (auto& log : logs) correct(log);
-  util::write_file(out, encode_file(world_.nprocs(), opts_.comment, head, std::move(logs)));
+  util::write_file(out, encode_file(world_.nprocs(), opts_.comment, std::move(head),
+                                    std::move(logs)));
   // The real log made it to disk: the crash-recovery spills are obsolete.
   remove_spill_files();
   return comm.wtime() - t_start;
@@ -483,8 +461,11 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
     try {
       while (!r.at_end()) {
         auto rec = clog2::read_record(r);
-        if (std::holds_alternative<clog2::EventDef>(rec)) head.push_back(std::move(rec));
-        else if (std::holds_alternative<clog2::StateDef>(rec)) states.push_back(std::move(rec));
+        if (std::holds_alternative<clog2::EventDef>(rec)) {
+          head.push_back(std::move(rec));
+        } else if (std::holds_alternative<clog2::StateDef>(rec)) {
+          states.push_back(std::move(rec));
+        }
       }
     } catch (const util::IoError&) {
       // Truncated defs tail: keep what parsed.
@@ -542,7 +523,8 @@ clog2::File salvage(const std::string& spill_base, const std::string& comment) {
     throw util::IoError("salvage: no spill files found at " + spill_base);
 
   for (auto& log : logs) correct(log);
-  return clog2::parse(encode_file(max_rank + 1, comment, head, std::move(logs)));
+  return clog2::parse(
+      encode_file(max_rank + 1, comment, std::move(head), std::move(logs)));
 }
 
 std::size_t Logger::buffered(int rank) const {

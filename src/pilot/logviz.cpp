@@ -12,16 +12,9 @@ std::string state_popup(const CallSite& site, const Process& proc,
                         const Bundle* bundle) {
   // Starts with literal text (the paper's Jumpshot workaround) and stays
   // within MPE's 40-byte cap: "L<line> <proc> i<index> [B<bundle>]".
-  std::string out = "L";
-  util::append_int(out, site.line);
-  out += ' ';
-  out += proc.name;
-  out += " i";
-  util::append_int(out, proc.index);
-  if (bundle != nullptr) {
-    out += ' ';
-    out += bundle->name;
-  }
+  std::string out;
+  util::append_all(out, "L", site.line, " ", proc.name, " i", proc.index);
+  if (bundle != nullptr) util::append_all(out, " ", bundle->name);
   return out;
 }
 
@@ -57,10 +50,8 @@ void append_first_value(std::string& out, std::size_t count, ValueType type,
     case ValueType::kBytes: {
       constexpr char kHex[] = "0123456789abcdef";
       const auto v = load<unsigned char>(p);
-      out += "0x";
-      out += kHex[v >> 4];
-      out += kHex[v & 0xF];
-      return;
+      const char hex[] = {'0', 'x', kHex[v >> 4], kHex[v & 0xF], '\0'};
+      return util::append_all(out, hex);
     }
   }
   out += '?';
@@ -135,11 +126,8 @@ void LogViz::msg_arrive(mpisim::Comm& comm, double at_time, const Channel& chan)
 
 void LogViz::write_info(mpisim::Comm& comm, const Channel& chan, std::size_t count,
                         ValueType type, const void* data) {
-  std::string text = "Chan: ";
-  text += chan.name;
-  text += " n=";
-  util::append_int(text, count);
-  text += " v0=";
+  std::string text;
+  util::append_all(text, "Chan: ", chan.name, " n=", count, " v0=");
   append_first_value(text, count, type, data);
   logger_.log_event(comm, ev_write_info_, text);
 }
@@ -148,28 +136,22 @@ void LogViz::utility(mpisim::Comm& comm, const char* func, const CallSite& site,
                      double result, int prec) {
   // Compact: MPE caps popup text at 40 bytes, and function names like
   // PI_ChannelHasData are long already.
-  std::string text = func;
-  text += " L";
-  util::append_int(text, site.line);
-  text += " ret=";
+  std::string text;
+  util::append_all(text, func, " L", site.line, " ret=");
   util::append_fixed(text, result, prec);
   logger_.log_event(comm, ev_utility_, text);
 }
 
 void LogViz::user_log(mpisim::Comm& comm, const CallSite& site,
                       const std::string& text) {
-  std::string popup = "L";
-  util::append_int(popup, site.line);
-  popup += ' ';
-  popup += text;
+  std::string popup;
+  util::append_all(popup, "L", site.line, " ", text);
   logger_.log_event(comm, ev_user_log_, popup);
 }
 
 void LogViz::wait_on(mpisim::Comm& comm, const Channel& chan) {
-  std::string text = "C";
-  util::append_int(text, chan.id);
-  text += "<-R";
-  util::append_int(text, chan.from->rank);
+  std::string text;
+  util::append_all(text, "C", chan.id, "<-R", chan.from->rank);
   logger_.log_event(comm, ev_wait_, text);
 }
 
@@ -179,9 +161,8 @@ void LogViz::configure_phase(mpisim::Comm& comm, double t_begin, double t_end) {
 }
 
 void LogViz::begin_compute(mpisim::Comm& comm, const Process& proc) {
-  std::string text = proc.name;
-  text += " i";
-  util::append_int(text, proc.index);
+  std::string text;
+  util::append_all(text, proc.name, " i", proc.index);
   logger_.log_event(comm, compute_.start, text);
 }
 

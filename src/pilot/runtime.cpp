@@ -2,6 +2,7 @@
 // The message engine (read/write/collectives) lives in runtime_io.cpp.
 #include "pilot/runtime.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
@@ -294,9 +295,8 @@ void Runtime::state_begin(const CallSite& site, int handle) {
     fail(site, util::strprintf("PI_StateBegin: invalid state handle %d", handle));
   Process* me = current_process(site, "PI_StateBegin");
   mpisim::Comm& c = comm(site, "PI_StateBegin");
-  if (traces_calls())
-    svc_call_line(site, "PI_StateBegin " +
-                            user_state_defs_[static_cast<std::size_t>(handle)].first);
+  svc_call_line(site, "PI_StateBegin %s",
+                user_state_defs_[static_cast<std::size_t>(handle)].first.c_str());
   if (logviz_) logviz_->begin_user_state(c, handle, site, *me);
 }
 
@@ -306,9 +306,8 @@ void Runtime::state_end(const CallSite& site, int handle) {
     fail(site, util::strprintf("PI_StateEnd: invalid state handle %d", handle));
   current_process(site, "PI_StateEnd");
   mpisim::Comm& c = comm(site, "PI_StateEnd");
-  if (traces_calls())
-    svc_call_line(site, "PI_StateEnd " +
-                            user_state_defs_[static_cast<std::size_t>(handle)].first);
+  svc_call_line(site, "PI_StateEnd %s",
+                user_state_defs_[static_cast<std::size_t>(handle)].first.c_str());
   if (logviz_) logviz_->end_user_state(c, handle);
 }
 
@@ -554,8 +553,7 @@ void Runtime::stop_main(const CallSite& site, int status) {
   mpisim::Comm& c = comm(site, "PI_StopMain");
 
   if (!world_->is_aborted()) {
-    if (traces_calls())
-      svc_call_line(site, util::strprintf("PI_StopMain status=%d", status));
+    svc_call_line(site, "PI_StopMain status=%d", status);
     if (logviz_) logviz_->end_compute(c);
     finalize_rank(c);
   }
@@ -617,8 +615,7 @@ void Runtime::log(const CallSite& site, const char* text) {
   if (text == nullptr) fail(site, "PI_Log: null text");
   mpisim::Comm& c = comm(site, "PI_Log");
   if (logviz_) logviz_->user_log(c, site, text);
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Log \"%s\"", text));
+  svc_call_line(site, "PI_Log \"%s\"", text);
 }
 
 bool Runtime::is_logging() const {
@@ -649,14 +646,18 @@ void Runtime::compute(const CallSite& site, double seconds) {
 
 // --- service-event helpers ---------------------------------------------------------
 
-void Runtime::svc_call_line(const CallSite& site, const std::string& what) {
-  if (!traces_calls()) return;
+void Runtime::svc_call_line(const CallSite& site, const char* what, ...) {
+  // Formats nothing unless call lines reach the service rank.
+  if (!opts_.svc_calls || service_rank_ < 0) return;
   mpisim::Comm* c = mpisim::World::current();
   if (c == nullptr || c->rank() == service_rank_) return;
   const Process* proc = acting_process();
-  const auto line = util::strprintf("%s %s %s",
-                                    proc ? proc->name.c_str() : "?", what.c_str(),
-                                    site_str(site).c_str());
+  std::va_list ap;
+  va_start(ap, what);
+  const std::string text = util::vstrprintf(what, ap);
+  va_end(ap);
+  const auto line = util::strprintf("%s %s %s", proc ? proc->name.c_str() : "?",
+                                    text.c_str(), site_str(site).c_str());
   const auto bytes = Service::encode_call(line);
   c->send(service_rank_, kTagService, bytes.data(), bytes.size());
 }

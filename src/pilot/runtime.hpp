@@ -169,12 +169,9 @@ private:
                            const std::vector<std::uint8_t>& wire);
 
   // Service-event helpers (no-ops when the service rank is absent).
-  /// True when call lines reach the service rank (-pisvc=c); callers
-  /// format a line for svc_call_line only then.
-  [[nodiscard]] bool traces_calls() const {
-    return opts_.svc_calls && service_rank_ >= 0;
-  }
-  void svc_call_line(const CallSite& site, const std::string& what);
+  /// Call line for -pisvc=c, printf-style: formatted only when it is sent.
+  void svc_call_line(const CallSite& site, const char* what, ...)
+      __attribute__((format(printf, 3, 4)));
   void svc_write_event(int channel_id);
   void svc_wait(const std::vector<int>& channel_ids, const CallSite& site);
   void svc_consume(int channel_id, std::uint32_t count);

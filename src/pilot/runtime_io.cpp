@@ -232,9 +232,7 @@ void Runtime::write(const CallSite& site, Channel* chan, const char* fmt,
                                chan->from->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Write");
 
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Write %s \"%s\"", chan->name.c_str(),
-                                        fmt ? fmt : ""));
+  svc_call_line(site, "PI_Write %s \"%s\"", chan->name.c_str(), fmt ? fmt : "");
   if (logviz_) logviz_->begin_state(c, logviz_->write_, site, *me);
 
   const auto args = parse_write_args(site, fmt, ap);
@@ -266,9 +264,7 @@ void Runtime::read(const CallSite& site, Channel* chan, const char* fmt,
                                chan->to->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Read");
 
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Read %s \"%s\"", chan->name.c_str(),
-                                        fmt ? fmt : ""));
+  svc_call_line(site, "PI_Read %s \"%s\"", chan->name.c_str(), fmt ? fmt : "");
   if (logviz_) logviz_->begin_state(c, logviz_->read_, site, *me);
 
   const auto args = parse_read_args(site, fmt, ap);
@@ -317,9 +313,7 @@ void Runtime::broadcast(const CallSite& site, Bundle* b, const char* fmt,
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Broadcast");
 
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Broadcast %s \"%s\"", b->name.c_str(),
-                                        fmt ? fmt : ""));
+  svc_call_line(site, "PI_Broadcast %s \"%s\"", b->name.c_str(), fmt ? fmt : "");
   if (logviz_) logviz_->begin_state(c, logviz_->broadcast_, site, *me, b);
 
   const auto args = parse_write_args(site, fmt, ap);
@@ -355,9 +349,7 @@ void Runtime::scatter(const CallSite& site, Bundle* b, const char* fmt,
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Scatter");
 
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Scatter %s \"%s\"", b->name.c_str(),
-                                        fmt ? fmt : ""));
+  svc_call_line(site, "PI_Scatter %s \"%s\"", b->name.c_str(), fmt ? fmt : "");
   if (logviz_) logviz_->begin_state(c, logviz_->scatter_, site, *me, b);
 
   // Scatter takes a pointer per specifier: `count` elements PER RECEIVER
@@ -419,9 +411,7 @@ void Runtime::gather(const CallSite& site, Bundle* b, const char* fmt,
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Gather");
 
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Gather %s \"%s\"", b->name.c_str(),
-                                        fmt ? fmt : ""));
+  svc_call_line(site, "PI_Gather %s \"%s\"", b->name.c_str(), fmt ? fmt : "");
   if (logviz_) logviz_->begin_state(c, logviz_->gather_, site, *me, b);
 
   // Gather fills a pointer per specifier with `count` elements PER SENDER
@@ -493,9 +483,7 @@ void Runtime::reduce(const CallSite& site, Bundle* b, PI_REDOP op, const char* f
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Reduce");
 
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_Reduce %s \"%s\"", b->name.c_str(),
-                                        fmt ? fmt : ""));
+  svc_call_line(site, "PI_Reduce %s \"%s\"", b->name.c_str(), fmt ? fmt : "");
   if (logviz_) logviz_->begin_state(c, logviz_->reduce_, site, *me, b);
 
   std::vector<FormatSpec> specs;
@@ -612,7 +600,7 @@ int Runtime::select(const CallSite& site, Bundle* b) {
                                b->common->name.c_str()));
   mpisim::Comm& c = comm(site, "PI_Select");
 
-  if (traces_calls()) svc_call_line(site, "PI_Select " + b->name);
+  svc_call_line(site, "PI_Select %s", b->name.c_str());
   if (logviz_) logviz_->begin_state(c, logviz_->select_, site, *me, b);
 
   std::vector<int> ids;
@@ -682,9 +670,7 @@ int Runtime::try_select(const CallSite& site, Bundle* b) {
     }
     if (replay_) replay_->record_try_select(c.rank(), b->id, ready);
   }
-  if (traces_calls())
-    svc_call_line(site,
-                  util::strprintf("PI_TrySelect %s -> %d", b->name.c_str(), ready));
+  svc_call_line(site, "PI_TrySelect %s -> %d", b->name.c_str(), ready);
   if (logviz_) logviz_->utility(c, "PI_TrySelect", site, ready);
   return ready;
 }
@@ -706,9 +692,7 @@ int Runtime::channel_has_data(const CallSite& site, Channel* chan) {
     has = c.iprobe(chan->from->rank, chan->id) ? 1 : 0;
     if (replay_) replay_->record_has_data(c.rank(), chan->id, has);
   }
-  if (traces_calls())
-    svc_call_line(site, util::strprintf("PI_ChannelHasData %s -> %d",
-                                        chan->name.c_str(), has));
+  svc_call_line(site, "PI_ChannelHasData %s -> %d", chan->name.c_str(), has);
   if (logviz_) logviz_->utility(c, "PI_ChannelHasData", site, has);
   return has;
 }

@@ -70,15 +70,20 @@ void append_xml_escaped(std::string& out, std::string_view s) {
 }
 
 std::string strprintf(const char* fmt, ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  std::string out = vstrprintf(fmt, ap);
+  va_end(ap);
+  return out;
+}
+
+std::string vstrprintf(const char* fmt, std::va_list ap) {
   // Format once into a stack buffer; only output that does not fit takes a
   // second pass straight into the string.
   char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
   const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
   std::string out;
   if (n > 0) {
     const auto len = static_cast<std::size_t>(n);

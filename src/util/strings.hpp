@@ -2,8 +2,11 @@
 #pragma once
 
 #include <charconv>
+#include <concepts>
+#include <cstdarg>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace util {
@@ -28,6 +31,7 @@ void append_xml_escaped(std::string& out, std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string vstrprintf(const char* fmt, std::va_list ap);
 
 /// Append `v` exactly as printf("%.*f", prec, v) writes it (std::to_chars
 /// fixed form is specified to give printf's digits), without a format pass.
@@ -39,10 +43,25 @@ void append_general(std::string& out, double v, int prec);
 
 /// Append the decimal digits of an integer, exactly as printf's %d / %u /
 /// %ld / %llu ... write a value of its type.
-template <typename Int>
+template <std::integral Int>
 void append_int(std::string& out, Int v) {
   char buf[24];
   out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Append each part in turn: text as it is, integers as append_int writes
+/// them (a char is neither; pass text).
+template <typename... Parts>
+void append_all(std::string& out, const Parts&... parts) {
+  const auto one = [&out]<typename P>(const P& part) {
+    if constexpr (std::is_integral_v<P>) {
+      static_assert(!std::is_same_v<P, char>, "pass text, not a char");
+      append_int(out, part);
+    } else {
+      out += part;
+    }
+  };
+  (one(parts), ...);
 }
 
 /// Truncate a UTF-8-agnostic byte string to at most `max_bytes` bytes (the

@@ -182,4 +182,54 @@ TEST(Clog2, LargeTraceRoundTrip) {
   }
 }
 
+// The wire-form helpers mpe::Logger keeps its records with agree with
+// append_record / parse byte for byte.
+TEST(Clog2, WireHelpersMatchRecordCodec) {
+  const clog2::EventRec ev{1.25, 2, 7, "popup text"};
+  const clog2::MsgRec msg{2.5, 1, clog2::MsgRec::Kind::kRecv, 3, 9, 64};
+  const clog2::SyncRec sync{1, 0.5, 0.75};
+  util::ByteWriter a;
+  clog2::append_record(a, clog2::Record{ev});
+  util::ByteWriter b;
+  clog2::append_event(b, ev.timestamp, ev.rank, ev.event_id, ev.text);
+  EXPECT_EQ(a.bytes(), b.bytes());
+  const std::size_t ev_size = a.size();
+  clog2::append_record(a, clog2::Record{msg});
+  clog2::append_record(b, msg);
+  const std::size_t msg_size = a.size() - ev_size;
+  clog2::append_record(a, clog2::Record{sync});
+  clog2::append_record(b, sync);
+  EXPECT_EQ(a.bytes(), b.bytes());
+
+  std::vector<std::uint8_t> bytes = b.take();
+  const std::uint8_t* p = bytes.data();
+  EXPECT_EQ(clog2::timed_record_size(p, bytes.size()), ev_size);
+  EXPECT_EQ(clog2::timed_record_size(p + ev_size, bytes.size() - ev_size), msg_size);
+  EXPECT_EQ(clog2::timed_record_size(p + ev_size + msg_size,
+                                     bytes.size() - ev_size - msg_size),
+            bytes.size() - ev_size - msg_size);
+  EXPECT_THROW(clog2::timed_record_size(p, ev_size - 1), util::IoError);
+
+  EXPECT_EQ(clog2::record_time(p), 1.25);
+  EXPECT_EQ(clog2::record_time(p + ev_size), 2.5);
+  clog2::set_record_time(bytes.data() + ev_size, -3.75);
+  util::ByteWriter c;
+  clog2::append_record(c, clog2::MsgRec{-3.75, 1, clog2::MsgRec::Kind::kRecv, 3, 9, 64});
+  EXPECT_TRUE(std::equal(c.bytes().begin(), c.bytes().end(), bytes.begin() +
+                         static_cast<std::ptrdiff_t>(ev_size)));
+
+  util::ByteWriter def;
+  clog2::append_record(def, clog2::Record{clog2::ConstDef{"n", 1}});
+  EXPECT_THROW(clog2::timed_record_size(def.bytes().data(), def.size()), util::IoError);
+
+  util::ByteWriter file;
+  clog2::append_header(file, 4, "wire", 3);
+  file.raw(bytes.data(), bytes.size());
+  clog2::append_end(file);
+  const clog2::File f = clog2::parse(file.bytes());
+  ASSERT_EQ(f.records.size(), 3u);
+  EXPECT_EQ(std::get<clog2::MsgRec>(f.records[1]).timestamp, -3.75);
+  EXPECT_EQ(f.comment, "wire");
+}
+
 }  // namespace
